@@ -2,7 +2,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test test-net test-recovery test-replication test-fleet test-verify test-scenarios bench bench-quick bench-load bench-net bench-recovery bench-replication bench-fleet bench-verify bench-scenarios bench-baseline chaos-quick chaos-recovery chaos-replication chaos-fleet chaos-scenarios
+.PHONY: kbench kbench-compare test test-net test-recovery test-replication test-fleet test-verify test-scenarios bench bench-quick bench-load bench-net bench-recovery bench-replication bench-fleet bench-verify bench-scenarios bench-baseline chaos-quick chaos-recovery chaos-replication chaos-fleet chaos-scenarios
 
 # Tier-1: the fast correctness suite (every test under tests/).
 test:
@@ -55,8 +55,9 @@ bench-net:
 bench:
 	$(PY) -m pytest benchmarks/ -q
 
-# Perf gate: engine micro-benchmark vs the committed baseline;
-# fails on a >20% speedup regression.
+# Perf gate: engine micro-benchmark vs the committed baseline
+# (benchmarks/results/BENCH_engine.json); fails on a >20% speedup
+# regression.
 bench-quick:
 	sh scripts/bench_quick.sh
 
@@ -71,7 +72,8 @@ bench-load:
 bench-verify:
 	$(PY) benchmarks/bench_verify_service.py --check
 
-# Re-record the engine baseline (run on a quiet machine).
+# Re-record the engine baseline benchmarks/results/BENCH_engine.json —
+# the file bench-quick gates against (run on a quiet machine).
 bench-baseline:
 	$(PY) benchmarks/bench_engine_speed.py --update
 
@@ -128,3 +130,17 @@ bench-replication:
 # must stay <= 15%; warm recovery of a 100k-entry map under budget.
 bench-recovery:
 	$(PY) benchmarks/bench_recovery.py --check
+
+# kbench (BENCHMARK.json): every workload, 3 runs each, every
+# end-to-end metric by name and unit into OUT; exit 1 on an oracle
+# mismatch (~3.5 min).  Never run two measurements at once.
+#   make kbench OUT=base.json
+OUT ?= benchmarks/kbench/out/kbench.json
+kbench:
+	$(PY) -m benchmarks.kbench run --json $(OUT)
+
+# Compare two `make kbench` result files: better|same|worse|unresolved
+# per workload x metric, exit 1 on any "worse".
+#   make kbench-compare A=base.json B=change.json
+kbench-compare:
+	$(PY) -m benchmarks.kbench compare $(A) $(B)

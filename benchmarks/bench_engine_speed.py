@@ -2,8 +2,9 @@
 
 Times the Fig. 5 data-structure workload (update/lookup/delete over
 hashmap, linked list, skiplist) end-to-end through ``KFlexRuntime``
-under each execution engine and emits machine-readable
-``BENCH_engine.json`` so the perf trajectory is tracked across PRs.
+under each execution engine.  The one committed baseline is
+``benchmarks/results/BENCH_engine.json``: ``--check`` gates against it
+and ``--update`` is its only writer.
 
 The headline ``speedup`` is aggregate wall-clock (interp total /
 threaded total) over the whole workload.  Cost-model output (cycle
@@ -14,8 +15,8 @@ standalone:
 
 .. code-block:: console
 
-    $ python benchmarks/bench_engine_speed.py            # print + write json
-    $ python benchmarks/bench_engine_speed.py --update   # refresh baseline
+    $ python benchmarks/bench_engine_speed.py            # print only
+    $ python benchmarks/bench_engine_speed.py --update   # re-record baseline
     $ python benchmarks/bench_engine_speed.py --check    # gate vs baseline
 
 ``--check`` compares the measured *speedup ratio* (not absolute
@@ -33,8 +34,7 @@ import sys
 import time
 
 HERE = pathlib.Path(__file__).parent
-RESULTS_JSON = HERE / "results" / "BENCH_engine.json"
-BASELINE_JSON = HERE / "BENCH_engine.json"
+BASELINE_JSON = HERE / "results" / "BENCH_engine.json"
 
 #: Fig. 5 structures exercised (rbtree/sketches behave like hashmap —
 #: short programs; the pointer-chasing structures are the hot case).
@@ -125,11 +125,6 @@ def format_result(result: dict) -> str:
     return "\n".join(lines)
 
 
-def write_results(result: dict) -> None:
-    RESULTS_JSON.parent.mkdir(exist_ok=True)
-    RESULTS_JSON.write_text(json.dumps(result, indent=2) + "\n")
-
-
 def check_against_baseline(result: dict) -> tuple[bool, str]:
     if not BASELINE_JSON.exists():
         return True, f"no baseline at {BASELINE_JSON}; skipping gate"
@@ -151,7 +146,6 @@ def test_engine_speed():
     from conftest import emit
 
     result = run_benchmark()
-    write_results(result)
     emit("BENCH_engine", format_result(result))
     # The threaded engine must be a clear win over the reference
     # interpreter on the aggregate workload.  (The committed baseline
@@ -169,13 +163,12 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(HERE.parent / "src"))
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--update", action="store_true",
-                   help="rewrite the committed baseline BENCH_engine.json")
+                   help="rewrite the committed baseline results/BENCH_engine.json")
     p.add_argument("--check", action="store_true",
                    help="fail if speedup regressed >20%% vs the baseline")
     args = p.parse_args(argv)
 
     result = run_benchmark()
-    write_results(result)
     print(format_result(result))
     if args.update:
         BASELINE_JSON.write_text(json.dumps(result, indent=2) + "\n")

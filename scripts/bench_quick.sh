@@ -1,7 +1,7 @@
 #!/bin/sh
 # Quick perf gate: run the engine micro-benchmark and fail if the
 # threaded engine's speedup over the reference interpreter regressed
-# more than 20% vs the committed baseline (benchmarks/BENCH_engine.json).
+# more than 20% vs the committed baseline (benchmarks/results/BENCH_engine.json).
 #
 # Usage: scripts/bench_quick.sh
 set -eu

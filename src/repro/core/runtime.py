@@ -225,8 +225,12 @@ class LoadedExtension:
         if self.heap is not None and self.heap.pkey is not None:
             # Striped heap (§6): load this extension's protection key.
             aspace.active_pkeys = {self.heap.pkey}
-        result = self._engine(cpu).run(ctx_addr)
-        aspace.active_pkeys = None
+        try:
+            result = self._engine(cpu).run(ctx_addr)
+        finally:
+            # Also on a KernelPanic out of the engine: the key must not
+            # stay loaded for whoever touches the address space next.
+            aspace.active_pkeys = None
         self.last_result = result
         cost = result.cost + self.jprog.prologue_cost
         self.stats.invocations += 1
@@ -377,9 +381,11 @@ class LoadedExtension:
                 allocator.begin_invocation(cpu)
             if pkeys is not None:
                 aspace.active_pkeys = pkeys
-            result = engine_run(ctx_addr)
-            if pkeys is not None:
-                aspace.active_pkeys = None
+            try:
+                result = engine_run(ctx_addr)
+            finally:
+                if pkeys is not None:
+                    aspace.active_pkeys = None
             self.last_result = result
             cost = result.cost + prologue_cost
             stats.invocations += 1

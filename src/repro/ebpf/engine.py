@@ -22,18 +22,20 @@ closure with everything burned in at translation time —
 
 Execution is then a tight ``pc = handlers[pc](regs)`` loop.
 
-Layered on top is a **memory fast path**: the engine keeps a small
-cache of region handles ``(base, end, backing bytes, populated pages)``
-and loads/stores hit the backing ``bytearray`` directly via
-``int.from_bytes``/slice assignment when the access is in a cached
-region with its pages populated.  Everything else — unmapped addresses,
-unpopulated pages, SMAP traps, store-policy violations, protection-key
-faults — falls back to the paged :class:`~repro.kernel.addrspace.
-AddressSpace` path, so fault semantics are bit-identical to the
-interpreter.  Cache safety: entries are (re)validated against the
-address space's ``generation`` counter, the active protection-key set
-and the store policy at every ``run()``; population sets are shared
-live objects, so demand paging is visible without invalidation.
+Layered on top is a **memory fast path**: every memory site carries a
+monomorphic inline cache — the one region handle ``(base, span, backing
+bytes, populated pages)`` it last hit — and a hit loads/stores straight
+on the backing ``bytearray`` through a width-typed ``struct`` accessor.
+A miss re-points the site from the engine's short list of admitted
+handles; everything else — unmapped addresses, unpopulated pages, SMAP
+traps, store-policy violations, protection-key faults — falls back to
+the paged :class:`~repro.kernel.addrspace.AddressSpace` path, which
+owns every fault, so fault semantics are bit-identical to the
+interpreter.  Cache safety: handles and site caches are dropped at
+``run()`` whenever the address space's ``generation`` counter, the
+active protection-key set, the store policy or the SMAP setting
+changed; population sets are shared live objects, so demand paging is
+visible without invalidation.
 
 Cycle accounting is unchanged: per-instruction costs are the same
 JIT-lowered array the interpreter charges (cost is per-insn *data*,
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from struct import Struct
 
 from repro.errors import (
     ExtensionFault,
@@ -84,6 +87,14 @@ _S64 = 1 << 64
 MAX_CACHED_REGIONS = 8
 
 _ZERO_REGS = [0] * 11
+
+#: Width-typed little-endian accessors over a backing ``bytearray``:
+#: access size -> (unpack_from, pack_into).
+_ACCESS = {
+    size: (st.unpack_from, st.pack_into)
+    for size, st in ((1, Struct("<B")), (2, Struct("<H")),
+                     (4, Struct("<I")), (8, Struct("<Q")))
+}
 
 
 class _ExitSignal(Exception):
@@ -122,14 +133,21 @@ class ThreadedEngine:
         self._slot_of = slot_of
         self._slot_to_idx = {s: i for i, s in enumerate(slot_of)}
 
-        # Mutable run state shared with handlers.  The cache lists are
-        # closed over by memory handlers, so they are mutated in place
+        # Mutable run state shared with handlers.  The handle lists are
+        # closed over by memory sites, so they are mutated in place
         # (never rebound) on refresh.
         self._xcost = [0]  # helper cost accumulated this run
         self._ld_cache: list[tuple] = []  # (base, end, data, pages|None)
         self._st_cache: list[tuple] = []
         self._cached_bases: set[int] = set()
-        self._cache_key = None
+        #: (generation, active pkeys, store policy, smap) the handles
+        #: and site caches were last validated against.
+        self._cache_key: tuple = (None, None, None, None)
+        #: One refill() per memory site; re-run when the key changes.
+        self._sites: list = []
+        #: CANCELPT's site cache: the heap backing while the heap's
+        #: handle is admitted, else None (paged path).
+        self._term_data = [None]
         self._regs = [0] * 11
         self._running = False
 
@@ -140,18 +158,20 @@ class ThreadedEngine:
         #: Number of plan blocks actually fused at translate time.
         self.fused_blocks = 0
 
-        self._smap = bool(env.smap)
-        self._retranslate()
+        # One handler past the end: a pc that runs off the program
+        # panics there, so the dispatch loop needs no bounds test.
+        n = len(insns)
+        self._costs = [*self.costs, 0]
+        self.handlers = [
+            *(self._compile(i, insn) for i, insn in enumerate(insns)),
+            self._raiser(KernelPanic, f"pc {n} fell off program end"),
+        ]
+        self._apply_plan()
 
     # -- entry ----------------------------------------------------------
 
     def run(self, ctx_addr: int = 0, max_steps: int | None = None) -> ExecResult:
         env = self.env
-        if bool(env.smap) != self._smap:
-            # The SMAP policy is burned into load handlers; re-translate
-            # if a test flipped it on a cached engine.
-            self._smap = bool(env.smap)
-            self._retranslate()
         stack = env.stack_base or env.ensure_stack()
         self._refresh_caches()
 
@@ -171,8 +191,8 @@ class ThreadedEngine:
         cost = 0
         limit = max_steps if max_steps is not None else env.max_steps
         handlers = self.handlers
-        costs = self.costs
-        n = len(handlers)
+        costs = self._costs
+        n = len(self.insns)
         watchdog = env.watchdog
         wd_period = env.watchdog_period
         # Single fused check per iteration: the next step count at which
@@ -184,11 +204,12 @@ class ThreadedEngine:
         try:
             if not self._has_fused:
                 while True:
-                    if pc >= n:
-                        raise KernelPanic(f"pc {pc} fell off program end")
                     if steps >= checkpoint:
-                        # Order matters for parity: stall limit first,
-                        # then the watchdog — same as the interpreter.
+                        # Order matters for parity: off-the-end panic
+                        # first, then the stall limit, then the
+                        # watchdog — same as the interpreter.
+                        if pc == n:
+                            handlers[n](regs)
                         if steps >= limit:
                             return self._fault(
                                 regs, pc, cost + xc[0], steps, stack, "stall",
@@ -204,9 +225,9 @@ class ThreadedEngine:
             fused = self._fused
             bcosts = self._bcosts
             while True:
-                if pc >= n:
-                    raise KernelPanic(f"pc {pc} fell off program end")
                 if steps >= checkpoint:
+                    if pc == n:
+                        handlers[n](regs)
                     if steps >= limit:
                         return self._fault(
                             regs, pc, cost + xc[0], steps, stack, "stall",
@@ -287,60 +308,83 @@ class ThreadedEngine:
     # -- memory fast path ------------------------------------------------
 
     def _refresh_caches(self) -> None:
-        """Revalidate the region-handle cache against mapping state.
+        """Revalidate region handles and site caches against mapping state.
 
-        The cache key covers everything an entry's eligibility was
-        decided on: the address space's map/unmap generation, the
-        active protection-key set, and the store policy.  Anything else
-        that changes mid-run (page population, backing contents) is
-        shared by reference and needs no invalidation.
+        The key covers everything a handle's eligibility was decided
+        on: the address space's map/unmap generation, the active
+        protection-key set, the store policy and SMAP.  When any of
+        them changed, every handle is dropped and every site cache is
+        reset.  Anything else that changes mid-run (page population,
+        backing contents) is shared by reference and needs no
+        invalidation.
         """
-        asp = self.env.aspace
+        env = self.env
+        asp = env.aspace
+        gen, pkeys, allowed, smap = self._cache_key
+        if (
+            asp.generation == gen
+            and asp.active_pkeys == pkeys
+            and env.allowed_store_regions == allowed
+            and env.smap == smap
+        ):
+            return
         pkeys = asp.active_pkeys
-        key = (
+        self._cache_key = (
             asp.generation,
             None if pkeys is None else frozenset(pkeys),
-            self.env.allowed_store_regions,
+            env.allowed_store_regions,
+            env.smap,
         )
-        if key == self._cache_key:
-            return
-        self._cache_key = key
         self._ld_cache.clear()
         self._st_cache.clear()
         self._cached_bases.clear()
-        heap = self.env.heap
-        if heap is not None and not heap.closed:
-            self._admit(heap.region)
-        if self.env.stack_base:
-            region = asp.find_region(self.env.stack_base)
+        for refill in self._sites:
+            refill(0)  # nothing is admitted yet: empties the site
+        heap = env.heap
+        self._term_data[0] = None
+        if heap is not None and not heap.closed and self._admit(heap.region):
+            self._term_data[0] = heap.region.backing.data
+        if env.stack_base:
+            region = asp.find_region(env.stack_base)
             if region is not None:
                 self._admit(region)
 
-    def _admit(self, region) -> None:
-        """Add a region's handle to the fast-path caches if eligible."""
+    def _admit(self, region) -> bool:
+        """Add a region's handle to the fast-path lists if eligible."""
         if region.base in self._cached_bases:
-            return
+            return True
         if len(self._cached_bases) >= MAX_CACHED_REGIONS:
-            return
-        asp = self.env.aspace
+            return False
+        env = self.env
+        asp = env.aspace
         if (
             region.pkey is not None
             and asp.active_pkeys is not None
             and region.pkey not in asp.active_pkeys
         ):
-            return  # slow path raises the protection-key fault
+            return False  # slow path raises the protection-key fault
+        if env.smap and region.base < USER_SPACE_TOP:
+            # A site-cache hit skips the SMAP compare, so user-half
+            # regions stay on the slow path while SMAP is on.
+            return False
         backing = region.backing
         pages = None if backing.all_populated else backing.populated
         entry = (region.base, region.base + region.size, backing.data, pages)
         self._cached_bases.add(region.base)
         self._ld_cache.append(entry)
-        allowed = self.env.allowed_store_regions
+        allowed = env.allowed_store_regions
         if region.writable and (
             allowed is None or region.name.startswith(allowed)
         ):
             self._st_cache.append(entry)
+        return True
 
     def _slow_load(self, addr: int, size: int) -> int:
+        # Mirrors Interpreter._check_load exactly.
+        if self.env.smap and 4096 <= addr < USER_SPACE_TOP:
+            raise PageFault(
+                addr, f"SMAP: supervisor access to user address {addr:#x}"
+            )
         value = self.env.aspace.read_int(addr, size)
         self._promote(addr)
         return value
@@ -372,13 +416,6 @@ class ThreadedEngine:
 
     # -- translation -----------------------------------------------------
 
-    def _translate(self) -> list:
-        return [self._compile(i, insn) for i, insn in enumerate(self.insns)]
-
-    def _retranslate(self) -> None:
-        self.handlers = self._translate()
-        self._apply_plan()
-
     def _raiser(self, exc_cls, message: str):
         def h(regs, exc_cls=exc_cls, message=message):
             raise exc_cls(message)
@@ -398,10 +435,10 @@ class ThreadedEngine:
         in ``_bcosts``.  Blocks that fail validation here — a raiser
         among the members, a missing heap — execute unfused.
         """
-        n = len(self.handlers)
-        self._weights = [1] * n
+        n = len(self.insns)
+        self._weights = [1] * len(self.handlers)
         self._fused = list(self.handlers)
-        self._bcosts = list(self.costs)
+        self._bcosts = list(self._costs)
         self._has_fused = False
         self.fused_blocks = 0
         for start, length, kind in self.plan:
@@ -466,11 +503,10 @@ class ThreadedEngine:
     def _fuse_mem(self, start: int):
         """LDX -> GUARD -> STX over the extension heap, fast path only.
 
-        Everything is computed into locals and committed (register
-        write + store) in one shot, so returning the deopt sentinel
-        (-1) is always safe: the engine re-executes the block head
-        through the unfused handlers, which own the slow path and every
-        fault with exact attribution."""
+        Composed from two deopt sites: a site-cache miss commits
+        nothing and returns the deopt sentinel (-1), so the engine
+        re-executes the block head through the unfused handlers, which
+        own the slow path and every fault with exact attribution."""
         insns = self.insns
         ldx, g, stx = insns[start], insns[start + 1], insns[start + 2]
         heap = self.env.heap
@@ -488,55 +524,22 @@ class ThreadedEngine:
             return None
         hb = heap.base
         hm = heap.mask
-        s1 = ldx.src
-        off1 = ldx.off
-        size1 = isa.size_bytes(ldx.opcode)
         d = g.dst
-        s2 = stx.src
-        off2 = stx.off
-        size2 = isa.size_bytes(stx.opcode)
-        mask2 = (1 << (size2 * 8)) - 1
-        ld = self._ld_cache
-        st = self._st_cache
-        smap = self._smap
         npc = start + 3
+        ld = self._site(isa.size_bytes(ldx.opcode), ldx.src, ldx.off, npc,
+                        dst=d, deopt=True)
+        st = self._site(isa.size_bytes(stx.opcode), d, stx.off, npc,
+                        src=stx.src, deopt=True)
 
-        def fh(regs, s1=s1, off1=off1, size1=size1, d=d, s2=s2, off2=off2,
-               size2=size2, mask2=mask2, hb=hb, hm=hm, ld=ld, st=st,
-               smap=smap, npc=npc):
-            addr1 = (regs[s1] + off1) & U64
-            if smap and 4096 <= addr1 < 0x8000_0000_0000:
-                return -1  # the unfused LDX raises the SMAP fault
-            val = -1
-            for base, end, data, pages in ld:
-                if base <= addr1 and addr1 + size1 <= end:
-                    o = addr1 - base
-                    if pages is None:
-                        val = int.from_bytes(data[o : o + size1], "little")
-                    else:
-                        p0 = o >> 12
-                        p1 = (o + size1 - 1) >> 12
-                        if p0 in pages and (p1 == p0 or p1 in pages):
-                            val = int.from_bytes(data[o : o + size1], "little")
-                    break
-            if val < 0:
+        def fh(regs, d=d, hb=hb, hm=hm, ld=ld, st=st, npc=npc):
+            saved = regs[d]
+            if ld(regs) < 0:
                 return -1
-            gv = (hb + (val & hm)) & U64
-            addr2 = (gv + off2) & U64
-            for base, end, data, pages in st:
-                if base <= addr2 and addr2 + size2 <= end:
-                    o = addr2 - base
-                    if pages is not None:
-                        p0 = o >> 12
-                        p1 = (o + size2 - 1) >> 12
-                        if p0 not in pages or (p1 != p0 and p1 not in pages):
-                            break
-                    regs[d] = gv
-                    data[o : o + size2] = (regs[s2] & mask2).to_bytes(
-                        size2, "little"
-                    )
-                    return npc
-            return -1
+            regs[d] = (hb + (regs[d] & hm)) & U64
+            if st(regs) < 0:
+                regs[d] = saved  # the load may have read through it
+                return -1
+            return npc
 
         return fh
 
@@ -547,7 +550,8 @@ class ThreadedEngine:
         if cls == isa.BPF_ALU64 or cls == isa.BPF_ALU:
             return self._compile_alu(insn, cls == isa.BPF_ALU64, npc)
         if cls == isa.BPF_LDX:
-            return self._compile_ldx(insn, npc)
+            return self._site(isa.size_bytes(op), insn.src, insn.off, npc,
+                              dst=insn.dst)
         if cls == isa.BPF_LD:
             if insn.is_ld_imm64:
                 value = (insn.imm64 or 0) & U64
@@ -560,11 +564,13 @@ class ThreadedEngine:
                 return h
             return self._raiser(ExtensionFault, f"unsupported LD mode {op:#x}")
         if cls == isa.BPF_ST:
-            return self._compile_st(insn, npc)
+            return self._site(isa.size_bytes(op), insn.dst, insn.off, npc,
+                              imm=insn.imm)
         if cls == isa.BPF_STX:
             if insn.is_atomic:
                 return self._compile_atomic(insn, npc)
-            return self._compile_stx(insn, npc)
+            return self._site(isa.size_bytes(op), insn.dst, insn.off, npc,
+                              src=insn.src)
         if cls == isa.BPF_JMP or cls == isa.BPF_JMP32:
             return self._compile_jmp(i, insn, cls == isa.BPF_JMP32, npc)
         return self._raiser(ExtensionFault, f"unknown opcode {op:#x}")
@@ -769,114 +775,80 @@ class ThreadedEngine:
 
     # -- memory ----------------------------------------------------------
 
-    def _compile_ldx(self, insn, npc: int):
-        d = insn.dst
-        s = insn.src
-        off = insn.off
-        size = isa.size_bytes(insn.opcode)
-        ld = self._ld_cache
-        slow = self._slow_load
-        if self._smap:
+    def _site(self, size: int, a: int, off: int, npc: int, *, dst: int = -1,
+              src: int = -1, imm: int = 0, deopt: bool = False):
+        """Build one memory site at ``[regs[a] + off]``: a load into
+        ``dst``, a store of ``src``, or (neither given) a store of
+        ``imm`` — every LDX/STX/ST body comes from here.
 
-            def h(regs, d=d, s=s, off=off, size=size, npc=npc, ld=ld, slow=slow):
-                addr = (regs[s] + off) & U64
-                if 4096 <= addr < 0x8000_0000_0000:
-                    raise PageFault(
-                        addr, f"SMAP: supervisor access to user address {addr:#x}"
-                    )
-                for base, end, data, pages in ld:
-                    if base <= addr and addr + size <= end:
-                        o = addr - base
-                        if pages is None:
-                            regs[d] = int.from_bytes(data[o : o + size], "little")
-                            return npc
-                        p0 = o >> 12
-                        p1 = (o + size - 1) >> 12
-                        if p0 in pages and (p1 == p0 or p1 in pages):
-                            regs[d] = int.from_bytes(data[o : o + size], "little")
-                            return npc
-                        break
-                regs[d] = slow(addr, size)
-                return npc
-
-        else:
-
-            def h(regs, d=d, s=s, off=off, size=size, npc=npc, ld=ld, slow=slow):
-                addr = (regs[s] + off) & U64
-                for base, end, data, pages in ld:
-                    if base <= addr and addr + size <= end:
-                        o = addr - base
-                        if pages is None:
-                            regs[d] = int.from_bytes(data[o : o + size], "little")
-                            return npc
-                        p0 = o >> 12
-                        p1 = (o + size - 1) >> 12
-                        if p0 in pages and (p1 == p0 or p1 in pages):
-                            regs[d] = int.from_bytes(data[o : o + size], "little")
-                            return npc
-                        break
-                regs[d] = slow(addr, size)
-                return npc
-
-        return h
-
-    def _compile_st(self, insn, npc: int):
-        d = insn.dst
-        off = insn.off
-        size = isa.size_bytes(insn.opcode)
-        value = insn.imm & U64
+        The site carries a monomorphic inline cache in its closure
+        cells: the region handle it last hit, as ``base``, ``span``
+        (the largest in-bounds offset for this width; -1 = empty),
+        ``data`` and ``pages``.  A hit is the bounds + page-population
+        test and a width-typed access on the backing bytes.  A miss
+        scans the engine's admitted handles — loads only ever see
+        ``_ld_cache``, stores ``_st_cache``, so SMAP and the store
+        policy were decided at admission — re-points the site, and
+        otherwise takes the paged slow path, which owns every fault.
+        A ``deopt`` site (fused idiom member) returns -1 instead, with
+        nothing committed.
+        """
+        handles = self._ld_cache if dst >= 0 else self._st_cache
+        unpack, pack = _ACCESS[size]
+        last = size - 1
         mask = (1 << (size * 8)) - 1
-        blob = (value & mask).to_bytes(size, "little")
-        st = self._st_cache
-        slow = self._slow_store
+        imm &= mask
+        base = 0
+        span = -1
+        data = pages = None
 
-        def h(regs, d=d, off=off, size=size, blob=blob, value=value, npc=npc,
-              st=st, slow=slow):
-            addr = (regs[d] + off) & U64
-            for base, end, data, pages in st:
-                if base <= addr and addr + size <= end:
-                    o = addr - base
-                    if pages is None:
-                        data[o : o + size] = blob
-                        return npc
-                    p0 = o >> 12
-                    p1 = (o + size - 1) >> 12
-                    if p0 in pages and (p1 == p0 or p1 in pages):
-                        data[o : o + size] = blob
-                        return npc
-                    break
-            slow(addr, value, size)
+        def refill(addr, handles=handles, size=size, last=last):
+            """Re-point the site at the admitted handle containing the
+            access (none: empty it); returns the access's offset if the
+            fast path may proceed, else -1."""
+            nonlocal base, span, data, pages
+            for hbase, hend, hdata, hpages in handles:
+                if hbase <= addr and addr + size <= hend:
+                    base, data, pages = hbase, hdata, hpages
+                    span = hend - hbase - size
+                    o = addr - hbase
+                    if hpages is None or (
+                        (o >> 12) in hpages and ((o + last) >> 12) in hpages
+                    ):
+                        return o
+                    return -1
+            span = -1
+            data = pages = None
+            return -1
+
+        def h(regs, a=a, off=off, size=size, last=last, dst=dst, src=src,
+              imm=imm, mask=mask, npc=npc, deopt=deopt, refill=refill,
+              unpack=unpack, pack=pack, slow_load=self._slow_load,
+              slow_store=self._slow_store):
+            addr = (regs[a] + off) & U64
+            o = addr - base
+            if not (0 <= o <= span and (
+                pages is None
+                or ((o >> 12) in pages and ((o + last) >> 12) in pages)
+            )):
+                o = refill(addr)
+                if o < 0:
+                    if deopt:
+                        return -1
+                    if dst >= 0:
+                        regs[dst] = slow_load(addr, size)
+                    else:
+                        slow_store(addr, regs[src] if src >= 0 else imm, size)
+                    return npc
+            if dst >= 0:
+                regs[dst] = unpack(data, o)[0]
+            elif src >= 0:
+                pack(data, o, regs[src] & mask)
+            else:
+                pack(data, o, imm)
             return npc
 
-        return h
-
-    def _compile_stx(self, insn, npc: int):
-        d = insn.dst
-        s = insn.src
-        off = insn.off
-        size = isa.size_bytes(insn.opcode)
-        mask = (1 << (size * 8)) - 1
-        st = self._st_cache
-        slow = self._slow_store
-
-        def h(regs, d=d, s=s, off=off, size=size, mask=mask, npc=npc,
-              st=st, slow=slow):
-            addr = (regs[d] + off) & U64
-            for base, end, data, pages in st:
-                if base <= addr and addr + size <= end:
-                    o = addr - base
-                    if pages is None:
-                        data[o : o + size] = (regs[s] & mask).to_bytes(size, "little")
-                        return npc
-                    p0 = o >> 12
-                    p1 = (o + size - 1) >> 12
-                    if p0 in pages and (p1 == p0 or p1 in pages):
-                        data[o : o + size] = (regs[s] & mask).to_bytes(size, "little")
-                        return npc
-                    break
-            slow(addr, regs[s], size)
-            return npc
-
+        self._sites.append(refill)
         return h
 
     def _compile_atomic(self, insn, npc: int):
@@ -940,24 +912,32 @@ class ThreadedEngine:
             if heap is None:
                 return self._raiser(KernelPanic, "CANCELPT without an extension heap")
             # The terminate cell lives in the heap's always-populated
-            # header page: read the backing directly.  The dereference
-            # of the loaded pointer succeeds iff it still points at the
-            # terminate target; anything else (0 when armed) takes the
-            # paged path and faults exactly like the interpreter.
-            hdata = heap.region.backing.data
-            toff = heap.terminate_cell - heap.base
+            # header page: while the heap's handle is admitted (see
+            # _refresh_caches) read the backing directly, else take the
+            # paged path.  The dereference of the loaded pointer
+            # succeeds iff it still points at the terminate target;
+            # anything else (0 when armed) takes the paged path and
+            # faults exactly like the interpreter.
+            tdata = self._term_data
+            tcell = heap.terminate_cell
+            toff = tcell - heap.base
             tt = heap.terminate_target
+            unpack = _ACCESS[8][0]
             read = env.aspace.read_int
 
-            def h(regs, env=env, heap=heap, hdata=hdata, toff=toff, tt=tt,
-                  read=read, npc=npc):
+            def h(regs, env=env, heap=heap, tdata=tdata, tcell=tcell,
+                  toff=toff, tt=tt, unpack=unpack, read=read, npc=npc):
                 # Fault injection first, matching the interpreter's
                 # CANCELPT order exactly (injected fault, then the
                 # terminate-pointer dereference).
                 inj = env.injector
                 if inj is not None:
                     inj.at_cancelpt(env.aspace, heap)
-                term = int.from_bytes(hdata[toff : toff + 8], "little")
+                data = tdata[0]
+                if data is not None:
+                    term = unpack(data, toff)[0]
+                else:
+                    term = read(tcell, 8)
                 if term != tt:
                     read(term, 1)
                 return npc

@@ -373,6 +373,29 @@ def test_step_limit_stall_parity():
     assert r.steps == 997
 
 
+def test_falling_off_the_end_panics_before_stall_or_watchdog():
+    """A pc one past the last instruction panics — ahead of the stall
+    limit and the watchdog when all three fall on the same step."""
+    a = Assembler()
+    a.mov(R.R0, 1)
+    a.mov(R.R1, 2)
+    insns = a.assemble()  # no EXIT
+    plan = compute_fuse_plan(insns, _FUSE_CFG, has_heap=False)
+    for max_steps in (None, 2, 1):
+        seen = []
+        for make in (
+            lambda e: Interpreter(insns, e),
+            lambda e: ThreadedEngine(insns, e),
+            lambda e: ThreadedEngine(insns, e, plan=plan),
+        ):
+            calls = []
+            env = _fresh_env(watchdog=calls.append, watchdog_period=2)
+            seen.append((_outcome(make(env), max_steps=max_steps), calls))
+        assert seen[0] == seen[1] == seen[2], max_steps
+        if max_steps != 1:
+            assert seen[0] == (("panic", "pc 2 fell off program end"), [])
+
+
 def test_unknown_helper_fault_parity():
     a = Assembler()
     a.call(9999)
@@ -402,6 +425,409 @@ def test_watchdog_callback_sequence_parity():
         seen[name] = (calls, res.ret, res.cost, res.steps)
     assert seen["interp"] == seen["threaded"]
     assert len(seen["interp"][0]) > 5  # the watchdog actually fired
+
+
+# -- site-cache invalidation matrix -------------------------------------------
+#
+# Every memory site keeps a monomorphic inline cache.  Each case below
+# warms a *pooled* engine, then changes one thing a cached handle's
+# validity rests on and checks the next run is still bit-identical to a
+# fresh interpreter — results and final backing bytes.
+
+KCTX = 0xFFFF_B100_0000_0000
+KOTHER = 0xFFFF_B200_0000_0000
+UREGION = 0x20_0000  # user half: SMAP-trapped for loads
+
+
+def _memory_image(env):
+    return [
+        (r.base, r.size, r.name, r.pkey, bytes(r.backing.data),
+         r.backing.all_populated or sorted(r.backing.populated))
+        for r in env.aspace.regions
+    ]
+
+
+def _outcome(engine, ctx_addr=0, max_steps=None):
+    try:
+        return describe_result(engine.run(ctx_addr, max_steps=max_steps))
+    except KernelPanic as exc:
+        return ("panic", str(exc))
+
+
+class WarmPair:
+    """A pooled threaded engine (and its fused twin when the program
+    has a fusion plan) against a fresh interpreter per step, each over
+    its own identically-built environment."""
+
+    def __init__(self, insns, setup=None, **env_kw):
+        self.insns = insns
+        self.oracle_env = _fresh_env(setup, **env_kw)
+        self.engines = [ThreadedEngine(insns, _fresh_env(setup, **env_kw))]
+        plan = compute_fuse_plan(insns, _FUSE_CFG, has_heap=False)
+        if plan:
+            self.engines.append(
+                ThreadedEngine(insns, _fresh_env(setup, **env_kw), plan=plan)
+            )
+
+    def step(self, mutate=None, ctx_addr=0, label=""):
+        """Apply ``mutate(aspace, env)`` to every environment, run, and
+        assert parity; returns the interpreter's outcome."""
+        envs = [self.oracle_env] + [e.env for e in self.engines]
+        if mutate is not None:
+            for env in envs:
+                mutate(env.aspace, env)
+        want = _outcome(Interpreter(self.insns, self.oracle_env), ctx_addr)
+        image = _memory_image(self.oracle_env)
+        for eng in self.engines:
+            assert _outcome(eng, ctx_addr) == want, f"divergence {label}"
+            assert _memory_image(eng.env) == image, f"memory divergence {label}"
+        return want
+
+
+def _fault_message(outcome):
+    assert outcome[0] != "panic" and outcome[5] is not None, outcome
+    return outcome[5][4]
+
+
+def _probe_program(size=8, *, store=True, load=True):
+    """ctx[0] = target address, ctx[8] = value: optional store, then
+    optional load, through the *same* sites on every run."""
+    a = Assembler()
+    a.ldx(R.R6, R.R1, 0, 8)
+    a.ldx(R.R2, R.R1, 8, 8)
+    a.mov(R.R0, 0)
+    if store:
+        a.stx(R.R6, R.R2, 0, size)
+    if load:
+        a.ldx(R.R0, R.R6, 0, size)
+    a.exit()
+    return a.assemble()
+
+
+def _probe_setup(aspace, env):
+    aspace.map_region(KCTX, 4096, "ctx")
+    aspace.map_region(KREGION, 4096, "scratch")
+    aspace.write_int(KREGION, 0x1111, 8)
+
+
+def _aim(addr, value=0):
+    def mutate(aspace, env):
+        aspace.write_int(KCTX, addr, 8)
+        aspace.write_int(KCTX + 8, value, 8)
+    return mutate
+
+
+def test_site_cache_survives_nothing_across_unmap_and_remap():
+    pair = WarmPair(_probe_program(store=False), _probe_setup)
+    assert pair.step(_aim(KREGION), KCTX)[0] == 0x1111
+    assert pair.step(None, KCTX)[0] == 0x1111  # site-cache hit
+
+    def unmap(aspace, env):
+        aspace.unmap(KREGION)
+    assert "unmapped" in _fault_message(pair.step(unmap, KCTX, "(unmapped)"))
+
+    def remap(aspace, env):
+        aspace.map_region(KREGION, 4096, "scratch")
+        aspace.write_int(KREGION, 0x2222, 8)
+    # Same base, fresh backing: the stale bytes must not be read.
+    assert pair.step(remap, KCTX, "(remapped)")[0] == 0x2222
+
+
+def test_site_cache_follows_pkey_switch():
+    def setup(aspace, env):
+        _probe_setup(aspace, env)
+        aspace.find_region(KREGION).pkey = 3
+        aspace.active_pkeys = {3}
+
+    def pkeys(keys):
+        def mutate(aspace, env):
+            aspace.active_pkeys = keys
+        return mutate
+
+    pair = WarmPair(_probe_program(), setup)
+    assert pair.step(_aim(KREGION, 5), KCTX)[0] == 5
+    assert pair.step(None, KCTX)[0] == 5
+    out = pair.step(pkeys({4}), KCTX, "(foreign pkey)")
+    assert "protection-key" in _fault_message(out)
+    assert pair.step(pkeys({3, 4}), KCTX, "(own pkey back)")[0] == 5
+    assert pair.step(pkeys(None), KCTX, "(pkru cleared)")[0] == 5
+
+
+def test_site_cache_follows_store_policy_change():
+    def policy(prefixes):
+        def mutate(aspace, env):
+            env.allowed_store_regions = prefixes
+        return mutate
+
+    pair = WarmPair(_probe_program(), _probe_setup)
+    assert pair.step(_aim(KREGION, 9), KCTX)[0] == 9
+    assert pair.step(None, KCTX)[0] == 9
+    out = pair.step(policy(("stack:",)), KCTX, "(store forbidden)")
+    assert out[0] == "panic" and "kernel-owned" in out[1]
+    assert pair.step(policy(("scratch",)), KCTX, "(store allowed)")[0] == 9
+    assert pair.step(policy(("ctx",)), KCTX, "(forbidden again)")[0] == "panic"
+
+
+def test_site_cache_hit_cannot_outlive_smap_flip():
+    def setup(aspace, env):
+        _probe_setup(aspace, env)
+        aspace.map_region(UREGION, 4096, "user")
+        aspace.write_int(UREGION, 0x7777, 8)
+
+    def smap(on):
+        def mutate(aspace, env):
+            env.smap = on
+        return mutate
+
+    pair = WarmPair(_probe_program(store=False), setup, smap=False)
+    # SMAP off: the user-half region is promoted and the site hits it.
+    assert pair.step(_aim(UREGION), KCTX)[0] == 0x7777
+    assert pair.step(None, KCTX)[0] == 0x7777
+    out = pair.step(smap(True), KCTX, "(smap on)")
+    assert "SMAP" in _fault_message(out)  # must fault, not hit
+    assert pair.step(smap(False), KCTX, "(smap off again)")[0] == 0x7777
+
+    # SMAP on from the start: a store to the user half is legal and
+    # promotes the region, but the load right after must still trap.
+    pair = WarmPair(_probe_program(), setup)
+    for _ in range(2):
+        out = pair.step(_aim(UREGION, 0x42), KCTX, "(load after store)")
+        assert "SMAP" in _fault_message(out)
+    assert pair.oracle_env.aspace.read_int(UREGION, 8) == 0x42
+
+
+def test_site_cache_straddles_page_boundary_and_region_end():
+    def setup(aspace, env):
+        aspace.map_region(KCTX, 4096, "ctx")
+        _paged_setup(aspace, env)  # 4 pages; 0 and 2 populated
+
+    for size in (2, 4, 8):
+        pair = WarmPair(_probe_program(size), setup)
+        assert pair.step(_aim(KREGION + 64, 0xABCD), KCTX)[5] is None
+        # First page populated, second not: fall off the fast path.
+        out = pair.step(_aim(KREGION + 4096 - 1, 1), KCTX, "(page straddle)")
+        assert "unpopulated" in _fault_message(out)
+
+        def populate(aspace, env):
+            aspace.populate(KREGION + 4096, 4096)
+        assert pair.step(populate, KCTX, "(now populated)")[5] is None
+        # Straddling the region end is an unmapped access, not a hit.
+        end = KREGION + 4 * 4096
+        out = pair.step(_aim(end - 1, 1), KCTX, "(region end)")
+        assert "unmapped" in _fault_message(out)
+        assert pair.step(_aim(KREGION + 3 * 4096 - size, 3), KCTX)[5] is None
+
+
+def test_polymorphic_site_alternating_regions():
+    """One LDX/STX pair whose base register flips between two regions
+    every iteration: each access misses the site cache and re-points."""
+    def setup(aspace, env):
+        aspace.map_region(KREGION, 4096, "left")
+        aspace.map_region(KOTHER, 4096, "right")
+        aspace.write_int(KREGION, 3, 8)
+        aspace.write_int(KOTHER, 5, 8)
+
+    a = Assembler()
+    loop = a.fresh_label()
+    a.ld_imm64(R.R6, KREGION)
+    a.ld_imm64(R.R7, KOTHER)
+    a.mov(R.R0, 0)
+    a.mov(R.R4, 0)
+    a.label(loop)
+    a.ldx(R.R3, R.R6, 0, 8)
+    a.add(R.R0, R.R3)
+    a.stx(R.R6, R.R0, 8, 8)
+    a.mov(R.R5, R.R6)  # swap the two bases
+    a.mov(R.R6, R.R7)
+    a.mov(R.R7, R.R5)
+    a.add(R.R4, 1)
+    a.jcc("<", R.R4, 10, loop)
+    a.exit()
+    pair = WarmPair(a.assemble(), setup)
+    for _ in range(3):
+        assert pair.step()[0] == 5 * (3 + 5)
+
+
+def test_site_widths_with_top_bit_set():
+    """pack_into rejects out-of-range ints: every store must be masked
+    to its width first, register and immediate alike."""
+    a = Assembler()
+    a.ld_imm64(R.R2, 0xFFFF_FFFF_FFFF_FFFF)
+    a.ld_imm64(R.R3, 0x8000_0000_8000_8080)
+    a.mov(R.R0, 0)
+    off = -8
+    for size in _SIZES:
+        for src in (R.R2, R.R3):
+            a.st_imm(R.R10, off, 0, 8)
+            a.stx(R.R10, src, off, size)
+            a.ldx(R.R4, R.R10, off, size)
+            a.xor(R.R0, R.R4)
+            a.ldx(R.R4, R.R10, off, 8)
+            a.add(R.R0, R.R4)
+            off -= 8
+        a.st_imm(R.R10, off, -1, size)
+        a.ldx(R.R4, R.R10, off, 8)
+        a.add(R.R0, R.R4)
+        off -= 8
+    a.exit()
+    pair = WarmPair(a.assemble())
+    first = pair.step()
+    assert first[5] is None
+    assert pair.step() == first
+
+
+def _malloc_page_trace(engine: str):
+    from repro.core.runtime import KFlexRuntime
+    from repro.ebpf.helpers import KFLEX_MALLOC
+    from repro.ebpf.macroasm import MacroAsm
+    from repro.ebpf.program import Program
+
+    rt = KFlexRuntime(engine=engine)
+    heap = rt.create_heap(1 << 20, name="grow")
+    m = MacroAsm()
+    m.call_helper(KFLEX_MALLOC, 4096)  # a page the heap has not seen yet
+    with m.if_("==", R.R0, 0):
+        m.exit()
+    m.mov(R.R6, R.R0)
+    m.mov(R.R3, 0x5A5A)
+    m.stx(R.R6, R.R3, 0, 8)
+    m.stx(R.R6, R.R3, 4088, 8)
+    m.ldx(R.R0, R.R6, 4088, 8)
+    m.exit()
+    prog = Program("grow", m.assemble(), hook="bench", heap_size=1 << 20)
+    ext = rt.load(prog, heap=heap, attach=False)
+    ctx = rt.make_ctx(0, [0] * 8)
+    trace = []
+    for _ in range(6):
+        before = heap.region.backing.populated_pages
+        ret = ext.invoke(ctx)
+        grown = heap.region.backing.populated_pages - before
+        trace.append((ret, grown, describe_result(ext.last_result)))
+    return trace, bytes(heap.region.backing.data)
+
+
+def test_site_cache_sees_pages_populated_mid_run():
+    """kflex_malloc populates the page *during* the run; the warm store
+    and load sites must see it through the shared population set."""
+    ti = _malloc_page_trace("interp")
+    tt = _malloc_page_trace("threaded")
+    assert ti == tt
+    assert all(ret == 0x5A5A for ret, _, _ in ti[0])
+    assert sum(grown for _, grown, _ in ti[0]) >= 5
+
+
+# -- seeded memory differential -----------------------------------------------
+
+KPKT = 0xFFFF_B300_0000_0000
+KMAPV = 0xFFFF_B400_0000_0000
+KHEAP = 0xFFFF_B500_0000_0000
+_MEM_TARGETS = (
+    # (weight, base or None for the stack, usable bytes)
+    (16, None, 64),           # stack
+    (8, KCTX, 64),            # hook context
+    (12, KPKT, 256),          # packet staging slot
+    (12, KMAPV, 128),         # map value
+    (16, KHEAP, 4096),        # demand-paged heap: pages 0 and 2 only
+    (1, KOTHER, 64),          # unmapped
+    (1, UREGION, 64),         # user half
+)
+
+
+def _mem_diff_setup(aspace, env):
+    aspace.map_region(KCTX, 4096, "ctx")
+    aspace.map_region(KPKT, 4096, "kernel:pkt0")
+    aspace.map_region(KMAPV, 4096, "map:values")
+    aspace.map_region(UREGION, 4096, "user")
+    aspace.map_region(KHEAP, 4 * 4096, "heap:diff", populated=False)
+    aspace.populate(KHEAP, 4096)
+    aspace.populate(KHEAP + 2 * 4096, 4096)
+
+
+def gen_mem_diff(rng) -> list[Insn]:
+    """Straight-line loads/stores over every kind of address."""
+    a = Assembler()
+    regs = (R.R2, R.R3, R.R4)
+    _seed_regs(a, rng, regs)
+    a.mov(R.R0, 0)
+    weights = [w for w, _, _ in _MEM_TARGETS]
+    for _ in range(rng.randrange(6, 20)):
+        _, base, span = rng.choices(_MEM_TARGETS, weights)[0]
+        size = rng.choice(_SIZES)
+        if base is None:
+            ptr, off = R.R10, -rng.randrange(1, 64 // size + 1) * size
+        else:
+            ptr = R.R6
+            target = base + rng.randrange(0, span - size + 1)
+            if base == KHEAP:
+                # Mostly the populated pages; sometimes an unpopulated
+                # one, a page straddle, or the region end.
+                target += rng.choice((0, 2 * 4096))
+                if rng.random() < 0.1:
+                    edge = rng.choice((4096, 3 * 4096, 4 * 4096))
+                    target = base + edge - rng.randrange(0, size + 1)
+            off = rng.randrange(-64, 64)
+            a.ld_imm64(ptr, (target - off) & isa.U64)
+        kind = rng.randrange(3)
+        if kind == 0:
+            a.ldx(R.R5, ptr, off, size)
+            a.xor(R.R0, R.R5)
+        elif kind == 1:
+            a.stx(ptr, rng.choice(regs), off, size)
+        else:
+            a.st_imm(ptr, off, rng.randrange(-(1 << 31), 1 << 31), size)
+    a.exit()
+    return a.assemble()
+
+
+def _mem_diff_mutation(rng):
+    """Something a site cache must not survive, or None."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        def mutate(aspace, env):  # same base, fresh backing
+            aspace.unmap(KMAPV)
+            aspace.map_region(KMAPV, 4096, "map:values")
+    elif kind == 1:
+        smap = rng.random() < 0.5
+
+        def mutate(aspace, env):
+            env.smap = smap
+    elif kind == 2:
+        allowed = rng.choice((None, ("stack:", "heap:", "map:"), ("stack:",)))
+
+        def mutate(aspace, env):
+            env.allowed_store_regions = allowed
+    elif kind == 3:
+        def mutate(aspace, env):
+            aspace.populate(KHEAP + 4096, 4096)
+    elif kind == 4:
+        keys = rng.choice((None, {1}, {2}))
+
+        def mutate(aspace, env):
+            aspace.find_region(KHEAP).pkey = 1
+            aspace.active_pkeys = keys
+    else:
+        return None
+    return mutate
+
+
+def test_seeded_memory_differential():
+    rng = random.Random(0x5173)
+    faults = panics = clean = 0
+    for trial in range(300):
+        prng = random.Random(rng.getrandbits(64))
+        pair = WarmPair(gen_mem_diff(prng), _mem_diff_setup,
+                        smap=prng.random() < 0.7)
+        for run in range(3):
+            mutate = _mem_diff_mutation(prng) if run else None
+            out = pair.step(mutate, KCTX, f"(trial {trial} run {run})")
+            if out[0] == "panic":
+                panics += 1
+            elif out[5] is not None:
+                faults += 1
+            else:
+                clean += 1
+    # The sweep must exercise all three outcomes to mean anything.
+    assert clean > 200 and faults > 100 and panics > 10, (clean, faults, panics)
 
 
 # -- fused superinstruction parity --------------------------------------------
@@ -480,51 +906,66 @@ def test_fused_step_limit_lands_mid_block():
         assert ri.fault is not None and ri.fault.kind == "stall"
 
 
+def _fused_mem_trace(engine, fuse, chase=False):
+    """Drive LDX -> GUARD -> STX once onto a populated page and once
+    onto an unpopulated one.  ``chase`` loads through the register it
+    overwrites (``r7 = *r7``), so a deopt after the load must put the
+    pointer back before the block head is re-executed."""
+    from repro.core.runtime import KFlexRuntime
+    from repro.ebpf.macroasm import MacroAsm
+    from repro.ebpf.program import Program
+
+    rt = KFlexRuntime(engine=engine, fuse=fuse)
+    heap = rt.create_heap(1 << 16, name="memf")
+    m = MacroAsm()
+    ptr = R.R7 if chase else R.R6
+    m.heap_addr(ptr, 0x40)
+    m.mov(R.R3, 0xABCD)
+    m.ldx(R.R7, ptr)         # load a heap offset from the cell...
+    m.stx(R.R7, R.R3, 0, 8)  # ...and store through it (Kie guards R7)
+    m.mov(R.R0, 7)
+    m.exit()
+    prog = Program("memf", m.assemble(), hook="bench", heap_size=1 << 16)
+    ext = rt.load(prog, heap=heap, attach=False, elision=False)
+    assert heap.reserve_static(64) == 0x40
+    ctx = rt.make_ctx(0, [0] * 8)
+    out = []
+    # Populated header page: the fused fast path commits.
+    rt.kernel.aspace.write_int(heap.base + 0x40, 0x80, 8)
+    out.append((ext.invoke(ctx), describe_result(ext.last_result)))
+    out.append(rt.kernel.aspace.read_int(heap.base + 0x80, 8))
+    # Unpopulated page: deopt -> slow path -> page-fault cancel.
+    rt.kernel.aspace.write_int(heap.base + 0x40, 0x8000, 8)
+    ext.dead = False
+    out.append((ext.invoke(ctx), describe_result(ext.last_result)))
+    out.append(dict(ext.stats.cancellations_by_reason))
+    if engine == "threaded" and fuse is not False:
+        eng = ext._engines[0].engine
+        assert any(k == "mem" for _, _, k in eng.plan)
+        assert eng.fused_blocks > 0
+    return out
+
+
 @pytest.mark.fuse
 def test_fused_mem_idiom_runtime_parity():
     """The LDX -> GUARD -> STX idiom at runtime level: the fast path
     commits load+guard+store in one closure; an unpopulated target page
     deoptimizes to single-step execution and must fault exactly like
     the interpreter (same insn index, same cancellation accounting)."""
-    from repro.core.runtime import KFlexRuntime
-    from repro.ebpf.macroasm import MacroAsm
-    from repro.ebpf.program import Program
-
-    def trace(engine, fuse):
-        rt = KFlexRuntime(engine=engine, fuse=fuse)
-        heap = rt.create_heap(1 << 16, name="memf")
-        m = MacroAsm()
-        m.heap_addr(R.R6, 0x40)
-        m.mov(R.R3, 0xABCD)
-        m.ldx(R.R7, R.R6)       # load a heap offset from the cell...
-        m.stx(R.R7, R.R3, 0, 8)  # ...and store through it (Kie guards R7)
-        m.mov(R.R0, 7)
-        m.exit()
-        prog = Program("memf", m.assemble(), hook="bench", heap_size=1 << 16)
-        ext = rt.load(prog, heap=heap, attach=False, elision=False)
-        assert heap.reserve_static(64) == 0x40
-        ctx = rt.make_ctx(0, [0] * 8)
-        out = []
-        # Populated header page: the fused fast path commits.
-        rt.kernel.aspace.write_int(heap.base + 0x40, 0x80, 8)
-        out.append((ext.invoke(ctx), describe_result(ext.last_result)))
-        out.append(rt.kernel.aspace.read_int(heap.base + 0x80, 8))
-        # Unpopulated page: deopt -> slow path -> page-fault cancel.
-        rt.kernel.aspace.write_int(heap.base + 0x40, 0x8000, 8)
-        ext.dead = False
-        out.append((ext.invoke(ctx), describe_result(ext.last_result)))
-        out.append(dict(ext.stats.cancellations_by_reason))
-        if engine == "threaded" and fuse is not False:
-            eng = ext._engines[0].engine
-            assert any(k == "mem" for _, _, k in eng.plan)
-            assert eng.fused_blocks > 0
-        return out
-
-    ti = trace("interp", None)
-    tu = trace("threaded", False)
-    tf = trace("threaded", None)
+    ti = _fused_mem_trace("interp", None)
+    tu = _fused_mem_trace("threaded", False)
+    tf = _fused_mem_trace("threaded", None)
     assert ti == tu == tf
     assert ti[1] == 0xABCD  # the guarded store actually landed
+
+
+@pytest.mark.fuse
+def test_fused_mem_idiom_deopt_restores_chased_pointer():
+    ti = _fused_mem_trace("interp", None, chase=True)
+    tf = _fused_mem_trace("threaded", None, chase=True)
+    assert ti == tf
+    assert ti[1] == 0xABCD
+    assert ti[3] == {"page_fault": 1}
 
 
 @pytest.mark.fuse

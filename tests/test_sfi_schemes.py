@@ -8,7 +8,7 @@ and §4.3's future-work per-CPU cancellation scope.
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import LoadError, PageFault
+from repro.errors import KernelPanic, LoadError, PageFault
 from repro.core.runtime import KFlexRuntime
 from repro.core.sfi import (
     ARENA32_SFI,
@@ -185,6 +185,36 @@ def test_striped_heap_own_access_works():
     prog = Program("own", m.assemble(), hook="bench", heap_size=1 << 16)
     ext = rt.load(prog, heap=heap, attach=False)
     assert ext.invoke(rt.make_ctx(0, [0] * 8)) == 77
+
+
+def test_kernel_panic_does_not_leave_pkru_loaded():
+    """A KernelPanic out of the engine (here: the store-to-kernel-region
+    check) must still clear the extension's protection key, on both the
+    single and the batched invocation path."""
+    rt = KFlexRuntime()
+    arena = StripedHeapArena()
+    heap = rt.create_heap(1 << 16, name="solo", striped_arena=arena)
+    heap.reserve_static(64)
+    m = MacroAsm()
+    m.heap_addr(R6, 0x40)
+    m.st_imm(R6, 0, 77, 8)
+    m.mov(R0, 0)
+    m.exit()
+    prog = Program("own", m.assemble(), hook="bench", heap_size=1 << 16)
+    ext = rt.load(prog, heap=heap, attach=False)
+    ctx = rt.make_ctx(0, [0] * 8)
+    assert ext.invoke(ctx) == 0
+    # Pretend the verifier sanctioned stack stores only: the heap store
+    # now models kernel-memory corruption.
+    ext._env(0).allowed_store_regions = ("stack:",)
+    aspace = rt.kernel.aspace
+    for run in (ext.invoke, ext.batch_invoker()):
+        with pytest.raises(KernelPanic):
+            run(ctx)
+        assert aspace.active_pkeys is None
+        # Whoever touches the address space next is not fenced by the
+        # dead invocation's key.
+        assert aspace.read_int(heap.base + 0x40, 8) == 77
 
 
 # -- scoped cancellations (§4.3 future work) -------------------------------------------
