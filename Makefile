@@ -2,7 +2,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: kbench kbench-compare test test-net test-recovery test-replication test-fleet test-verify test-scenarios bench bench-quick bench-load bench-net bench-recovery bench-replication bench-fleet bench-verify bench-scenarios bench-baseline chaos-quick chaos-recovery chaos-replication chaos-fleet chaos-scenarios
+.PHONY: kbench kbench-compare test test-net test-recovery test-replication test-fleet test-verify test-scenarios bench bench-quick bench-load bench-net bench-recovery bench-replication bench-fleet bench-verify bench-scenarios bench-baseline chaos-quick chaos-recovery chaos-replication chaos-fleet chaos-verify chaos-scenarios
 
 # Tier-1: the fast correctness suite (every test under tests/).
 test:
@@ -77,23 +77,29 @@ bench-verify:
 bench-baseline:
 	$(PY) benchmarks/bench_engine_speed.py --update
 
+# Chaos gates: one driver, one row per gate.  Every row fails on any
+# oracle error, on fewer injected deaths than --min-deaths, and on any
+# of the campaign's required crash sites (CAMPAIGNS in
+# src/repro/sim/chaos.py) left unexercised.
+CHAOS := $(PY) -m repro.sim.chaos run
+
 # Robustness gate: seeded chaos campaigns over every supervised app,
 # both engines; fails on oracle errors, leaks, or engine divergence.
 chaos-quick:
-	sh scripts/chaos_quick.sh
+	$(CHAOS) memcached redis datastructures --seed 3 --ops 250
 
 # Durability gate: seeded crash-point fuzz over the WAL/snapshot store
 # (file-backed); fails on corruption, non-prefix recovery, durability-
 # barrier rollback, or < 200 injected crashes.
 chaos-recovery:
-	sh scripts/chaos_recovery.sh
+	$(CHAOS) recovery --seed 1 --runs 6 --min-deaths 200 --file-backed
 
 # Replication gate: seeded crash-point fuzz over the WAL-shipping
 # pipeline — primary, follower, promotion, and anti-entropy deaths —
 # checked by a linearizability-of-acked-writes oracle; fails on any
 # acked-write loss, fencing violation, divergence, or < 200 deaths.
 chaos-replication:
-	sh scripts/chaos_replication.sh
+	$(CHAOS) replication --seed 1 --runs 5 --min-deaths 200
 
 # Fleet control-plane gate: seeded crash-point fuzz over live segment
 # migration and canary rollouts — source/target deaths at every
@@ -101,13 +107,19 @@ chaos-replication:
 # an acked-writes-preserved oracle plus rollout-safety oracles; fails
 # on any loss, any bad promotion/rollback, or < 200 deaths.
 chaos-fleet:
-	sh scripts/chaos_fleet.sh
+	$(CHAOS) fleet --seed 1 --runs 8 --min-deaths 200
+
+# Verification-service gate: seeded worker kills mid-exploration; fails
+# on any job not retried, any merged analysis that differs from the
+# inline verifier, or < 20 kills.
+chaos-verify:
+	$(CHAOS) verify --seed 1 --runs 4 --min-deaths 20
 
 # Hostile-traffic gate: the full scenario matrix across >= 200 seeded
 # runs; fails on any oracle violation (acked-write loss, ungraceful
 # shed, unbounded recovery, p99 blow-out) or a short campaign.
 chaos-scenarios:
-	sh scripts/chaos_scenarios.sh
+	$(PY) -m repro.sim.scenarios --seed 0 --runs 30 --min-runs 200
 
 # Hostile-traffic perf gate: per-scenario p99 and shed-rate envelopes
 # vs the committed baseline in benchmarks/results/BENCH_scenarios.json.

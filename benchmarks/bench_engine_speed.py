@@ -26,11 +26,9 @@ and fails if the threaded engine regressed more than 20%.
 
 from __future__ import annotations
 
-import argparse
 import json
 import pathlib
 import random
-import sys
 import time
 
 HERE = pathlib.Path(__file__).parent
@@ -125,7 +123,7 @@ def format_result(result: dict) -> str:
     return "\n".join(lines)
 
 
-def check_against_baseline(result: dict) -> tuple[bool, str]:
+def check_result(result: dict) -> tuple[bool, str]:
     if not BASELINE_JSON.exists():
         return True, f"no baseline at {BASELINE_JSON}; skipping gate"
     baseline = json.loads(BASELINE_JSON.read_text())
@@ -139,46 +137,24 @@ def check_against_baseline(result: dict) -> tuple[bool, str]:
     return ok, msg
 
 
-# -- pytest entry -------------------------------------------------------------
+GATE = (BASELINE_JSON, run_benchmark, format_result, check_result)
 
 
 def test_engine_speed():
-    from conftest import emit
+    from conftest import gate_test
 
-    result = run_benchmark()
-    emit("BENCH_engine", format_result(result))
+    result = gate_test(*GATE)
     # The threaded engine must be a clear win over the reference
     # interpreter on the aggregate workload.  (The committed baseline
     # records the >=3x acceptance measurement; this run-time assertion
     # is looser to tolerate loaded CI machines.)
     assert result["speedup"] >= 2.0, format_result(result)
-    ok, msg = check_against_baseline(result)
-    assert ok, msg
-
-
-# -- standalone entry ---------------------------------------------------------
-
-
-def main(argv=None) -> int:
-    sys.path.insert(0, str(HERE.parent / "src"))
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--update", action="store_true",
-                   help="rewrite the committed baseline results/BENCH_engine.json")
-    p.add_argument("--check", action="store_true",
-                   help="fail if speedup regressed >20%% vs the baseline")
-    args = p.parse_args(argv)
-
-    result = run_benchmark()
-    print(format_result(result))
-    if args.update:
-        BASELINE_JSON.write_text(json.dumps(result, indent=2) + "\n")
-        print(f"baseline updated: {BASELINE_JSON}")
-    if args.check:
-        ok, msg = check_against_baseline(result)
-        print(msg)
-        return 0 if ok else 1
-    return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from conftest import gate_main
+
+    raise SystemExit(gate_main(
+        *GATE, __doc__,
+        "fail if speedup regressed >20%% vs the baseline",
+    ))

@@ -28,11 +28,9 @@ p99 is compared, so one unlucky OS stall cannot fail the gate.
 
 from __future__ import annotations
 
-import argparse
 import json
 import pathlib
 import statistics
-import sys
 
 HERE = pathlib.Path(__file__).parent
 BASELINE_JSON = HERE / "results" / "BENCH_scenarios.json"
@@ -124,43 +122,20 @@ def check_result(result: dict) -> tuple[bool, str]:
     )
 
 
-# -- pytest entry -------------------------------------------------------------
+GATE = (BASELINE_JSON, run_benchmark, format_result, check_result)
 
 
 def test_scenarios_benchmark():
-    from conftest import emit
+    from conftest import gate_test
 
-    result = run_benchmark()
-    emit("BENCH_scenarios", format_result(result))
-    ok, msg = check_result(result)
-    assert ok, msg
-
-
-# -- standalone entry ---------------------------------------------------------
-
-
-def main(argv=None) -> int:
-    sys.path.insert(0, str(HERE.parent / "src"))
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--update", action="store_true",
-                   help="rewrite the committed baseline BENCH_scenarios.json")
-    p.add_argument("--check", action="store_true",
-                   help="fail on oracle failures, a shed-rate floor breach, "
-                        "or a loaded-p99 envelope blow-out vs the baseline")
-    args = p.parse_args(argv)
-
-    result = run_benchmark()
-    print(format_result(result))
-    if args.update:
-        BASELINE_JSON.parent.mkdir(exist_ok=True)
-        BASELINE_JSON.write_text(json.dumps(result, indent=2) + "\n")
-        print(f"baseline updated: {BASELINE_JSON}")
-    if args.check:
-        ok, msg = check_result(result)
-        print(msg)
-        return 0 if ok else 1
-    return 0
+    gate_test(*GATE)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from conftest import gate_main
+
+    raise SystemExit(gate_main(
+        *GATE, __doc__,
+        "fail on oracle failures, a shed-rate floor breach, "
+        "or a loaded-p99 envelope blow-out vs the baseline",
+    ))

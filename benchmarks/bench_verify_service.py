@@ -33,11 +33,9 @@ the measured speedup against the committed baseline
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
 import pathlib
-import sys
 import time
 
 HERE = pathlib.Path(__file__).parent
@@ -210,43 +208,20 @@ def check_result(r: dict) -> tuple[bool, str]:
     return ok, msg
 
 
-# -- pytest entry -------------------------------------------------------------
+GATE = (BASELINE_JSON, run_benchmark, format_result, check_result)
 
 
 def test_verify_service_rollout():
-    from conftest import emit
+    from conftest import gate_test
 
-    result = run_benchmark()
-    emit("BENCH_verify", format_result(result))
-    ok, msg = check_result(result)
-    assert ok, msg + "\n" + format_result(result)
-
-
-# -- standalone entry ---------------------------------------------------------
-
-
-def main(argv=None) -> int:
-    sys.path.insert(0, str(HERE.parent / "src"))
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--update", action="store_true",
-                   help="rewrite the committed baseline BENCH_verify.json")
-    p.add_argument("--check", action="store_true",
-                   help="fail below the floors or on a >40%% baseline "
-                        "regression")
-    args = p.parse_args(argv)
-
-    result = run_benchmark()
-    print(format_result(result))
-    if args.update:
-        BASELINE_JSON.parent.mkdir(exist_ok=True)
-        BASELINE_JSON.write_text(json.dumps(result, indent=2) + "\n")
-        print(f"baseline updated: {BASELINE_JSON}")
-    if args.check:
-        ok, msg = check_result(result)
-        print(msg)
-        return 0 if ok else 1
-    return 0
+    gate_test(*GATE)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from conftest import gate_main
+
+    raise SystemExit(gate_main(
+        *GATE, __doc__,
+        "fail below the floors or on a >40%% baseline "
+        "regression",
+    ))

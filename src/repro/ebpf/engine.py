@@ -50,7 +50,6 @@ between the two over randomized programs and every fault path.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from struct import Struct
 
@@ -1176,12 +1175,12 @@ ENGINES: dict[str, type] = {
     "threaded": ThreadedEngine,
 }
 
-_default_engine = os.environ.get("REPRO_ENGINE", "threaded")
+_default_engine = "threaded"
 
 
 def default_engine() -> str:
     """The engine name new :class:`~repro.core.runtime.KFlexRuntime`
-    instances pick up (``REPRO_ENGINE`` env var, default ``threaded``)."""
+    instances pick up (``threaded`` until :func:`set_default_engine`)."""
     return _default_engine
 
 

@@ -55,7 +55,6 @@ cache is bounded (LRU) and counts hits/misses/evictions per stage;
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
 import time
 from collections import OrderedDict
@@ -189,7 +188,7 @@ class FuseConfig:
     unfused artifacts can never collide in the :class:`ProgramCache`."""
 
     #: Master switch; ``False`` produces an empty plan (the escape
-    #: hatch behind ``kflexctl --no-fuse`` / ``REPRO_FUSE=0``).
+    #: hatch behind ``kflexctl --no-fuse`` / ``KFlexRuntime(fuse=False)``).
     enabled: bool = True
     #: Longest run of instructions collapsed into one fused closure.
     max_len: int = 8
@@ -206,11 +205,6 @@ def fuse_config_key(config: FuseConfig | None) -> tuple:
     return tuple(
         (f.name, getattr(config, f.name)) for f in dataclass_fields(config)
     )
-
-
-def default_fuse_config() -> FuseConfig:
-    """Process-default fusion config (``REPRO_FUSE=0`` disables)."""
-    return FuseConfig(enabled=os.environ.get("REPRO_FUSE", "1") != "0")
 
 
 def _fusible_member(insn, has_heap: bool) -> bool:
@@ -597,7 +591,7 @@ class FusePass(Pass):
     name = "fuse"
 
     def __init__(self, config: FuseConfig | None = None):
-        self.config = config if config is not None else default_fuse_config()
+        self.config = config if config is not None else FuseConfig()
 
     def cache_key(self, art: LoweredProgram) -> tuple:
         return art.raw.placement_key() + (fuse_config_key(self.config),)

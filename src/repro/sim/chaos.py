@@ -1,8 +1,14 @@
-"""Seeded chaos campaigns over the supervised applications.
+"""Seeded chaos campaigns: one driver, one report, one table.
 
-A *campaign* drives hundreds of application requests through a KFlex
-runtime with a :class:`~repro.sim.faults.FaultPlan` installed, and
-checks the paper's end-to-end robustness claims (§3.3, §3.4, §4.3):
+A *campaign* is a plain ``run_*_campaign(seed, n_ops, **kw)`` function
+that drives a subsystem under seeded injection, checks its oracles as
+it goes and returns a :class:`CampaignReport`; :func:`main` runs any
+row of the :data:`CAMPAIGNS` table as a gate.  The crash campaigns
+(recovery, replication, fleet, verify) kill processes and require
+every acked write to survive.  The app campaigns (memcached, redis,
+datastructures) drive requests through a KFlex runtime with a
+:class:`~repro.sim.faults.FaultPlan` installed, and check the paper's
+end-to-end robustness claims (§3.3, §3.4, §4.3):
 
 * **No panics.**  Every injected fault ends in a clean cancellation;
   a ``KernelPanic`` (including a ``QuiescenceViolation`` from the
@@ -15,26 +21,30 @@ checks the paper's end-to-end robustness claims (§3.3, §3.4, §4.3):
   the supervised wrappers and oracle-check every result against a
   shadow store — correct answers are required *through* quarantine,
   via the userspace fallback and the surviving heap (§3.4).
-* **Deterministic replay.**  The campaign folds every op, result and
+* **Deterministic replay.**  A campaign folds every op, result and
   injector fire into a SHA-256 digest.  Same seed + same engine (or
   the other engine — injection points are engine-order identical)
   must reproduce the digest bit for bit.
 
 Run from the command line (see ``make chaos-quick``)::
 
-    python -m repro.sim.chaos --apps memcached redis --ops 200 --seed 7
+    python -m repro.sim.chaos run memcached redis --ops 200 --seed 7
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 from repro.core.audit import audit_enabled, enable_quiescence_audit
 from repro.core.runtime import KFlexRuntime
 from repro.core.supervisor import QuarantinePolicy
+from repro.errors import SimulatedCrash
 from repro.kernel.watchdog import DEFAULT_QUANTUM_UNITS
-from repro.sim.faults import FaultPlan
+from repro.sim.faults import CrashPlan, FaultPlan
 
 #: Per-opportunity trigger rates tuned so a few-hundred-op campaign
 #: sees every kind fire multiple times without drowning the service.
@@ -47,94 +57,65 @@ DEFAULT_RATES = {
     "lock_stall": 0.01,
 }
 
-#: Campaign apps, in CLI order.
-APPS = ("memcached", "redis", "datastructures")
-
-
-def chaos_policy() -> QuarantinePolicy:
-    """Quarantine knobs for chaos runs: trip fast, heal fast.
-
-    Backoffs are short on the simulated clock (one request advances it
-    by a few microseconds), so campaigns exercise the full
-    quarantine → backoff → re-admission → replay cycle many times.
-    """
-    return QuarantinePolicy(
-        window=32,
-        max_faults=4,
-        base_backoff_ns=50_000,
-        backoff_factor=4,
-        max_backoff_ns=5_000_000,
-    )
-
 
 @dataclass
-class ChaosReport:
-    """Observable outcome of one campaign (the determinism surface)."""
+class CampaignReport:
+    """Observable outcome of one campaign run (the determinism surface)."""
 
-    app: str
-    engine: str
+    #: Campaign name; app campaigns append the engine (``redis/interp``).
+    name: str
     seed: int
     n_ops: int
-    #: SHA-256 over every (op, result) pair and the injector fire log.
+    #: SHA-256 over every (op, result) pair and the injector's fire log.
     digest: str = ""
-    kinds_fired: tuple = ()
-    total_fires: int = 0
-    quarantines: int = 0
-    readmissions: int = 0
-    cancellations: int = 0
-    kernel_ops: int = 0
-    fallback_ops: int = 0
-    #: Overlay entries never replayed (extension still quarantined at
-    #: the end of the run) — informational, not an error.
-    pending: int = 0
-    #: Oracle mismatches: (op index, description).  Must be empty.
+    #: Injected faults (app campaigns) or process deaths (crash
+    #: campaigns), and the fault kinds / crash sites that fired.
+    deaths: int = 0
+    sites: tuple = ()
+    #: Campaign-specific tallies, in ``describe()`` order.
+    counters: dict = field(default_factory=dict)
+    #: Oracle violations: (op index, description).  Must be empty.
     errors: list = field(default_factory=list)
+    _hasher: object = field(
+        default_factory=hashlib.sha256, repr=False, compare=False
+    )
 
     @property
     def ok(self) -> bool:
         return not self.errors
 
+    def mix(self, *parts) -> None:
+        """Fold one observable event into the digest."""
+        self._hasher.update("|".join(str(p) for p in parts).encode())
+        self._hasher.update(b"\n")
+
+    def error(self, i: int, msg: str) -> None:
+        if len(self.errors) < 20:  # the first few tell the story
+            self.errors.append((i, msg))
+
+    def seal(self, deaths: int, sites) -> "CampaignReport":
+        self.deaths = deaths
+        self.sites = tuple(sorted(sites))
+        self.digest = self._hasher.hexdigest()
+        return self
+
     def describe(self) -> str:
         status = "ok" if self.ok else f"{len(self.errors)} ERRORS"
-        kinds = ",".join(self.kinds_fired) or "-"
+        sites = ",".join(self.sites) or "-"
+        counters = "".join(f"{k}={v} " for k, v in self.counters.items())
         return (
-            f"chaos[{self.app}/{self.engine}] seed={self.seed} "
-            f"ops={self.n_ops} fires={self.total_fires} ({kinds}) "
-            f"quar={self.quarantines} readmit={self.readmissions} "
-            f"cancel={self.cancellations} kernel={self.kernel_ops} "
-            f"fallback={self.fallback_ops} pending={self.pending} "
+            f"chaos[{self.name}] seed={self.seed} ops={self.n_ops} "
+            f"deaths={self.deaths} ({sites}) {counters}"
             f"digest={self.digest[:16]} {status}"
         )
 
 
-def _mix(hasher, *parts) -> None:
-    hasher.update("|".join(str(p) for p in parts).encode())
-    hasher.update(b"\n")
-
-
-def _finish(report: ChaosReport, rt, hasher, inj, stats=None) -> ChaosReport:
-    """Common tail: runtime-wide sweep, stats, digest."""
-    # Final quiescence sweep across every allocator/lock manager and
-    # the global socket table — raises QuiescenceViolation on leaks.
-    rt.auditor.sweep(rt)
-    for kind, n in sorted(inj.fires.items()):
-        _mix(hasher, "fire", kind, n)
-    for kind, ordinal in inj.log:
-        _mix(hasher, "log", kind, ordinal)
-    report.digest = hasher.hexdigest()
-    report.kinds_fired = tuple(sorted(inj.kinds_fired()))
-    report.total_fires = inj.total_fires()
-    report.quarantines = rt.supervisor.stats.quarantines
-    report.readmissions = rt.supervisor.stats.readmissions
-    if stats is not None:
-        report.kernel_ops = stats[0]
-        report.fallback_ops = stats[1]
-    return report
-
-
-def _record_error(report: ChaosReport, i: int, msg: str, cap: int = 20) -> None:
-    if len(report.errors) < cap:
-        report.errors.append((i, msg))
+def _seal_crashes(report: CampaignReport, crash) -> CampaignReport:
+    """Common tail of the crash campaigns: crash log into the digest,
+    deaths and sites from the :class:`CrashInjector`."""
+    for site, ordinal in crash.log:
+        report.mix("crashlog", site, ordinal)
+    return report.seal(crash.total_crashes(), crash.sites_crashed())
 
 
 def _colliding_ids(bucket_of, encode, n_keys: int, per_bucket: int) -> list[int]:
@@ -168,202 +149,194 @@ def _colliding_ids(bucket_of, encode, n_keys: int, per_bucket: int) -> list[int]
 REQUEST_GAP_NS = 2_000
 
 
-class _audit_forced:
-    """Force quiescence auditing on for the campaign, then restore."""
-
-    def __enter__(self):
-        self._prev = audit_enabled()
-        enable_quiescence_audit(True)
-
-    def __exit__(self, *exc):
-        enable_quiescence_audit(self._prev)
-
-
-def _make_runtime(engine: str, policy: QuarantinePolicy | None):
-    rt = KFlexRuntime(engine=engine, supervisor_policy=policy or chaos_policy())
-    # Short watchdog period so injected premature fires actually get a
-    # chance to trigger on ~100-step requests (the production period of
-    # 4096 steps would make wd_fire unreachable for small extensions).
-    rt.watchdog_period = 64
-    return rt
-
-
 # ---------------------------------------------------------------------------
-# Memcached
+# App campaigns: one request loop, three op mixes
 # ---------------------------------------------------------------------------
 
 
-def run_memcached_campaign(
-    seed: int = 0,
-    n_ops: int = 600,
-    engine: str = "threaded",
-    *,
-    rates: dict | None = None,
-    policy: QuarantinePolicy | None = None,
-    key_space: int = 64,
-) -> ChaosReport:
+def _run_app_campaign(
+    app: str, setup, seed: int = 0, n_ops: int = 300, engine: str = "threaded"
+) -> CampaignReport:
+    """The request loop behind the memcached, redis and datastructures
+    campaigns: runtime + injector under forced auditing, ``n_ops``
+    requests on the simulated clock, final sweep, digest.
+
+    ``setup(rt, rng, report)`` builds the app over the runtime and
+    returns ``(step, finish)``: ``step(i)`` draws and serves request
+    *i* (the app's op mix and shadow oracle); ``finish()`` runs the
+    end-state checks and returns the app's counters.
+    """
+    report = CampaignReport(f"{app}/{engine}", seed, n_ops)
+    rng = random.Random(f"chaos:{seed}:{app}")
+    # Trip fast, heal fast: backoffs are short on the simulated clock
+    # (one request advances it by a few microseconds), so a campaign
+    # exercises the full quarantine → backoff → re-admission → replay
+    # cycle many times.
+    policy = QuarantinePolicy(
+        window=32,
+        max_faults=4,
+        base_backoff_ns=50_000,
+        backoff_factor=4,
+        max_backoff_ns=5_000_000,
+    )
+    audit_was = audit_enabled()
+    enable_quiescence_audit(True)
+    try:
+        rt = KFlexRuntime(engine=engine, supervisor_policy=policy)
+        # Short watchdog period so injected premature fires actually get
+        # a chance to trigger on ~100-step requests (the production
+        # period of 4096 steps would make wd_fire unreachable for small
+        # extensions).
+        rt.watchdog_period = 64
+        inj = rt.install_injector(FaultPlan(seed, DEFAULT_RATES))
+        step, finish = setup(rt, rng, report)
+        for i in range(n_ops):
+            rt.kernel.advance_ns(REQUEST_GAP_NS)
+            step(i)
+        app_counters = finish()
+        # Final quiescence sweep across every allocator/lock manager and
+        # the global socket table — raises QuiescenceViolation on leaks.
+        rt.auditor.sweep(rt)
+    finally:
+        enable_quiescence_audit(audit_was)
+    for kind, n in sorted(inj.fires.items()):
+        report.mix("fire", kind, n)
+    for kind, ordinal in inj.log:
+        report.mix("log", kind, ordinal)
+    report.counters = {
+        "quarantines": rt.supervisor.stats.quarantines,
+        "readmissions": rt.supervisor.stats.readmissions,
+        **app_counters,
+    }
+    return report.seal(inj.total_fires(), inj.kinds_fired())
+
+
+class _KvShadow:
+    """Shadow dict + GET/SET oracle over a supervised key-value wrapper
+    (``SupervisedMemcached`` and ``SupervisedRedis`` expose the same
+    ``get``/``set``)."""
+
+    def __init__(self, svc, report: CampaignReport):
+        self.svc = svc
+        self.report = report
+        self.shadow: dict[int, int] = {}
+
+    def set(self, i: int, key: int, value: int) -> None:
+        ok = self.svc.set(key, value)
+        if not ok:
+            self.report.error(i, f"SET {key} refused")
+        else:
+            self.shadow[key] = value
+        self.report.mix(i, "set", key, value, ok)
+
+    def get(self, i: int, key: int) -> None:
+        got = self.svc.get(key)
+        want = (key in self.shadow, self.shadow.get(key))
+        if got != want:
+            self.report.error(i, f"GET {key}: got {got}, want {want}")
+        self.report.mix(i, "get", key, got)
+
+    def final(self) -> None:
+        """End-to-end check: every key answers correctly, kernel path
+        or fallback alike."""
+        for key, want in sorted(self.shadow.items()):
+            got = self.svc.get(key)
+            if got != (True, want):
+                self.report.error(self.report.n_ops, f"final GET {key}: {got}")
+            self.report.mix("final", key, got)
+
+
+def _memcached_app(rt, rng, report):
     """GET/SET storm through :class:`SupervisedMemcached` + oracle."""
-    import random
-
     from repro.apps.memcached import protocol as P
     from repro.apps.memcached.supervised import SupervisedMemcached, _bucket_of
 
-    report = ChaosReport("memcached", engine, seed, n_ops)
-    hasher = hashlib.sha256()
-    rng = random.Random(f"chaos:{seed}:memcached")
-    keys = _colliding_ids(_bucket_of, P.key_bytes, key_space, per_bucket=8)
-    with _audit_forced():
-        rt = _make_runtime(engine, policy)
-        inj = rt.install_injector(FaultPlan(seed, rates or DEFAULT_RATES))
-        sm = SupervisedMemcached(
-            rt,
-            use_locks=True,
-            heap_size=1 << 22,
-            quantum_units=DEFAULT_QUANTUM_UNITS,
-        )
-        shadow: dict[int, int] = {}
-        for i in range(n_ops):
-            rt.kernel.advance_ns(REQUEST_GAP_NS)
-            key = keys[rng.randrange(len(keys))]
-            if rng.random() < 0.5:
-                value = rng.getrandbits(63)
-                ok = sm.set(key, value)
-                if not ok:
-                    _record_error(report, i, f"SET {key} refused")
-                else:
-                    shadow[key] = value
-                _mix(hasher, i, "set", key, value, ok)
-            else:
-                got = sm.get(key)
-                want = (
-                    (True, shadow[key]) if key in shadow else (False, None)
-                )
-                if got != want:
-                    _record_error(
-                        report, i, f"GET {key}: got {got}, want {want}"
-                    )
-                _mix(hasher, i, "get", key, got)
-        # End-to-end check: every key answers correctly, kernel path or
-        # fallback alike.
-        for key, want in sorted(shadow.items()):
-            got = sm.get(key)
-            if got != (True, want):
-                _record_error(report, n_ops, f"final GET {key}: {got}")
-            _mix(hasher, "final", key, got)
-        report.cancellations = sm.ext.stats.cancellations
-        report.pending = sm.pending
-        stats = (
-            sm.stats.kernel_gets + sm.stats.kernel_sets,
-            sm.stats.fallback_gets + sm.stats.fallback_sets,
-        )
-        return _finish(report, rt, hasher, inj, stats)
+    keys = _colliding_ids(_bucket_of, P.key_bytes, 64, per_bucket=8)
+    sm = SupervisedMemcached(
+        rt,
+        use_locks=True,
+        heap_size=1 << 22,
+        quantum_units=DEFAULT_QUANTUM_UNITS,
+    )
+    kv = _KvShadow(sm, report)
+
+    def step(i):
+        key = keys[rng.randrange(len(keys))]
+        if rng.random() < 0.5:
+            kv.set(i, key, rng.getrandbits(63))
+        else:
+            kv.get(i, key)
+
+    def finish():
+        kv.final()
+        return {
+            "cancellations": sm.ext.stats.cancellations,
+            "kernel_ops": sm.stats.kernel_gets + sm.stats.kernel_sets,
+            "fallback_ops": sm.stats.fallback_gets + sm.stats.fallback_sets,
+            # Overlay entries never replayed (extension still quarantined
+            # at the end of the run) — informational, not an error.
+            "pending": sm.pending,
+        }
+
+    return step, finish
 
 
-# ---------------------------------------------------------------------------
-# Redis
-# ---------------------------------------------------------------------------
-
-
-def run_redis_campaign(
-    seed: int = 0,
-    n_ops: int = 600,
-    engine: str = "threaded",
-    *,
-    rates: dict | None = None,
-    policy: QuarantinePolicy | None = None,
-    key_space: int = 32,
-    zset_keys: int = 4,
-    member_space: int = 16,
-) -> ChaosReport:
+def _redis_app(rt, rng, report):
     """GET/SET/ZADD storm through :class:`SupervisedRedis` + oracle.
 
     String keys and zset keys live in disjoint id ranges.  Each
     (zset, member) pair always gets the same score, so repeated ZADDs
     are idempotent and the end-state check is a plain set comparison.
     """
-    import random
-
     from repro.apps.redis import protocol as P
     from repro.apps.redis.supervised import SupervisedRedis, _bucket_of
 
-    report = ChaosReport("redis", engine, seed, n_ops)
-    hasher = hashlib.sha256()
-    rng = random.Random(f"chaos:{seed}:redis")
-    keys = _colliding_ids(_bucket_of, P.key_bytes, key_space, per_bucket=8)
+    keys = _colliding_ids(_bucket_of, P.key_bytes, 32, per_bucket=8)
     zbase = 1 << 20  # zset key ids, disjoint from string keys
-    with _audit_forced():
-        rt = _make_runtime(engine, policy)
-        inj = rt.install_injector(FaultPlan(seed, rates or DEFAULT_RATES))
-        sr = SupervisedRedis(
-            rt, heap_size=1 << 22, quantum_units=DEFAULT_QUANTUM_UNITS
-        )
-        strings: dict[int, int] = {}
-        zsets: dict[int, set] = {}
-        for i in range(n_ops):
-            rt.kernel.advance_ns(REQUEST_GAP_NS)
-            roll = rng.random()
-            if roll < 0.35:
-                key = keys[rng.randrange(len(keys))]
-                value = rng.getrandbits(63)
-                ok = sr.set(key, value)
-                if not ok:
-                    _record_error(report, i, f"SET {key} refused")
-                else:
-                    strings[key] = value
-                _mix(hasher, i, "set", key, value, ok)
-            elif roll < 0.70:
-                key = keys[rng.randrange(len(keys))]
-                got = sr.get(key)
-                want = (
-                    (True, strings[key]) if key in strings else (False, None)
-                )
-                if got != want:
-                    _record_error(
-                        report, i, f"GET {key}: got {got}, want {want}"
-                    )
-                _mix(hasher, i, "get", key, got)
+    sr = SupervisedRedis(
+        rt, heap_size=1 << 22, quantum_units=DEFAULT_QUANTUM_UNITS
+    )
+    kv = _KvShadow(sr, report)
+    zsets: dict[int, set] = {}
+
+    def step(i):
+        roll = rng.random()
+        if roll < 0.35:
+            key = keys[rng.randrange(len(keys))]
+            kv.set(i, key, rng.getrandbits(63))
+        elif roll < 0.70:
+            kv.get(i, keys[rng.randrange(len(keys))])
+        else:
+            key = zbase + rng.randrange(4)
+            member = rng.randrange(16)
+            score = member * 10  # fixed per member: idempotent
+            ok = sr.zadd(key, score, member)
+            if not ok:
+                report.error(i, f"ZADD {key} refused")
             else:
-                key = zbase + rng.randrange(zset_keys)
-                member = rng.randrange(member_space)
-                score = member * 10  # fixed per member: idempotent
-                ok = sr.zadd(key, score, member)
-                if not ok:
-                    _record_error(report, i, f"ZADD {key} refused")
-                else:
-                    zsets.setdefault(key, set()).add((score, member))
-                _mix(hasher, i, "zadd", key, score, member, ok)
-        for key, want in sorted(strings.items()):
-            got = sr.get(key)
-            if got != (True, want):
-                _record_error(report, n_ops, f"final GET {key}: {got}")
-            _mix(hasher, "final", key, got)
+                zsets.setdefault(key, set()).add((score, member))
+            report.mix(i, "zadd", key, score, member, ok)
+
+    def finish():
+        kv.final()
         for key, want in sorted(zsets.items()):
             got = sr.zset_members(key)
             if got != sorted(want):
-                _record_error(
-                    report, n_ops, f"final ZSET {key}: {got} != {sorted(want)}"
+                report.error(
+                    report.n_ops, f"final ZSET {key}: {got} != {sorted(want)}"
                 )
-            _mix(hasher, "final-zset", key, tuple(got))
-        report.cancellations = sr.ext.stats.cancellations
-        report.pending = sr.pending
-        stats = (sr.stats.kernel_ops, sr.stats.fallback_ops)
-        return _finish(report, rt, hasher, inj, stats)
+            report.mix("final-zset", key, tuple(got))
+        return {
+            "cancellations": sr.ext.stats.cancellations,
+            "kernel_ops": sr.stats.kernel_ops,
+            "fallback_ops": sr.stats.fallback_ops,
+            "pending": sr.pending,
+        }
+
+    return step, finish
 
 
-# ---------------------------------------------------------------------------
-# Data structures
-# ---------------------------------------------------------------------------
-
-
-def run_datastructures_campaign(
-    seed: int = 0,
-    n_ops: int = 400,
-    engine: str = "threaded",
-    *,
-    rates: dict | None = None,
-    policy: QuarantinePolicy | None = None,
-    key_space: int = 48,
-) -> ChaosReport:
+def _datastructures_app(rt, rng, report):
     """Update/lookup/delete storm over hashmap + linkedlist.
 
     No userspace fallback wrapper exists for the raw data structures, so
@@ -371,39 +344,182 @@ def run_datastructures_campaign(
     after every cancellation, and a deterministic digest — a quarantined
     structure answering with its default return is acceptable.
     """
-    import random
-
     from repro.apps.datastructures.hashmap import HashMapDS
     from repro.apps.datastructures.linkedlist import LinkedListDS
 
-    report = ChaosReport("datastructures", engine, seed, n_ops)
-    hasher = hashlib.sha256()
-    rng = random.Random(f"chaos:{seed}:datastructures")
-    with _audit_forced():
-        rt = _make_runtime(engine, policy)
-        inj = rt.install_injector(FaultPlan(seed, rates or DEFAULT_RATES))
-        structures = [HashMapDS(rt), LinkedListDS(rt)]
-        for i in range(n_ops):
-            rt.kernel.advance_ns(REQUEST_GAP_NS)
-            ds = structures[rng.randrange(len(structures))]
-            key = rng.randrange(key_space)
-            roll = rng.random()
-            if roll < 0.5:
-                ret = ds.update(key, rng.getrandbits(32))
-                op = "update"
-            elif roll < 0.85:
-                ret = ds.lookup(key)
-                op = "lookup"
-            else:
-                ret = ds.delete(key)
-                op = "delete"
-            _mix(hasher, i, ds.NAME, op, key, ret)
-        report.cancellations = sum(
-            ext.stats.cancellations
-            for ds in structures
-            for ext in ds.exts.values()
+    structures = [HashMapDS(rt), LinkedListDS(rt)]
+
+    def step(i):
+        ds = structures[rng.randrange(len(structures))]
+        key = rng.randrange(48)
+        roll = rng.random()
+        if roll < 0.5:
+            ret = ds.update(key, rng.getrandbits(32))
+            op = "update"
+        elif roll < 0.85:
+            ret = ds.lookup(key)
+            op = "lookup"
+        else:
+            ret = ds.delete(key)
+            op = "delete"
+        report.mix(i, ds.NAME, op, key, ret)
+
+    def finish():
+        return {
+            "cancellations": sum(
+                ext.stats.cancellations
+                for ds in structures
+                for ext in ds.exts.values()
+            )
+        }
+
+    return step, finish
+
+
+run_memcached_campaign = partial(_run_app_campaign, "memcached", _memcached_app)
+run_redis_campaign = partial(_run_app_campaign, "redis", _redis_app)
+run_datastructures_campaign = partial(
+    _run_app_campaign, "datastructures", _datastructures_app
+)
+
+
+# ---------------------------------------------------------------------------
+# Journaled-map harness (shared by the recovery and replication campaigns)
+# ---------------------------------------------------------------------------
+
+
+class _JournaledMap:
+    """A pinned, WAL-journaled :class:`~repro.ebpf.maps.HashMap` under
+    seeded update/delete churn, plus the shadow history that judges
+    every recovery of it.
+
+    ``shadow[i]`` is the journaled op with seq ``i + 1``; values are the
+    canonical post-write slot bytes.
+    """
+
+    PIN = "chaos/map"
+    KEY_SIZE, VALUE_SIZE = 8, 16
+    KEY_SPACE, MAX_ENTRIES = 48, 64
+
+    def __init__(self, report: CampaignReport, rng, crash, name: str):
+        self.report = report
+        self.rng = rng
+        self.crash = crash
+        self.name = name
+        self.shadow: list[tuple[str, bytes, bytes]] = []
+
+    def create(self, store) -> None:
+        """A fresh kernel holding an empty map, attached to ``store``."""
+        from repro.ebpf.maps import HashMap
+        from repro.kernel.machine import Kernel
+
+        self.kernel = Kernel()
+        self.m = HashMap(
+            self.kernel.aspace,
+            self.kernel.vmalloc,
+            key_size=self.KEY_SIZE,
+            value_size=self.VALUE_SIZE,
+            max_entries=self.MAX_ENTRIES,
+            name=self.name,
         )
-        return _finish(report, rt, hasher, inj)
+        store.attach(self.PIN, self.m)
+
+    def _journal(self, do_delete: bool, key: bytes) -> None:
+        if do_delete:
+            self.shadow.append(("d", key, b""))
+        else:
+            canonical = self.m.aspace.read_bytes(
+                self.m.lookup(key), self.VALUE_SIZE
+            )
+            self.shadow.append(("u", key, canonical))
+
+    def mutate(self, i: int) -> int:
+        """Apply one seeded update/delete and return its rc.
+
+        A :class:`SimulatedCrash` propagates *after* the op joined the
+        shadow: the in-memory mutation and its WAL append both happen
+        before any crash site can fire, so recovery (or promotion)
+        rules on how much history survived.
+        """
+        rng = self.rng
+        key = rng.randrange(self.KEY_SPACE).to_bytes(self.KEY_SIZE, "little")
+        do_delete = rng.random() < 0.25
+        value = b"" if do_delete else rng.getrandbits(
+            8 * self.VALUE_SIZE
+        ).to_bytes(self.VALUE_SIZE, "little")
+        try:
+            rc = self.m.delete(key) if do_delete else self.m.update(key, value)
+        except SimulatedCrash:
+            self._journal(do_delete, key)
+            raise
+        if rc == 0:
+            self._journal(do_delete, key)
+        self.report.mix(
+            i, "d" if do_delete else "u", key.hex(), value.hex(), rc
+        )
+        return rc
+
+    def prefix(self, k: int) -> list[tuple[bytes, bytes]]:
+        """Map contents after the first ``k`` shadow ops."""
+        d: dict[bytes, bytes] = {}
+        for op, key, value in self.shadow[:k]:
+            if op == "u":
+                d[key] = value
+            else:
+                d.pop(key, None)
+        return sorted(d.items())
+
+    def recover(self, store, i: int, floor: int, what: str):
+        """Recover the map from ``store`` into a fresh kernel and judge
+        the result; returns ``(recovery report, surviving seq)``.
+
+        A recovery that dies mid-replay is restarted: it must succeed
+        from the same durable bytes.  The **prefix-consistency** oracle
+        then requires the recovered map to equal the shadow after
+        *exactly* ``recovered_seq`` ops — never a corrupted or
+        reordered state — and ``recovered_seq`` to reach ``floor``, the
+        history the campaign knows was acknowledged (the last flush
+        barrier, the last surviving quorum ack).  The shadow is
+        truncated to the history that survived.
+        """
+        from repro.kernel.machine import Kernel
+
+        self.kernel = Kernel()
+        attempts = 0
+        while True:
+            try:
+                self.m, rep = store.recover_map(
+                    self.PIN, self.kernel.aspace, self.kernel.vmalloc
+                )
+                break
+            except SimulatedCrash:
+                self.report.counters["recoveries"] += 1
+                attempts += 1
+                if attempts > 50:  # rates near 1.0 would livelock
+                    self.crash.disarm("recovery.replay")
+        self.report.counters["recoveries"] += 1
+        seq_rec = rep.recovered_seq
+        if seq_rec < floor:
+            self.report.error(
+                i,
+                f"{what} lost acknowledged history: recovered seq "
+                f"{seq_rec} < floor {floor}",
+            )
+        if seq_rec > len(self.shadow):
+            self.report.error(
+                i, f"recovered seq {seq_rec} beyond {len(self.shadow)} shadow ops"
+            )
+            seq_rec = len(self.shadow)
+        want = self.prefix(seq_rec)
+        got = self.m.entries()
+        if got != want:
+            self.report.error(
+                i,
+                f"{what} state is not the seq-{seq_rec} shadow prefix: "
+                f"{len(got)} entries vs {len(want)} expected",
+            )
+        self.shadow = self.shadow[:seq_rec]
+        return rep, seq_rec
 
 
 # ---------------------------------------------------------------------------
@@ -423,229 +539,84 @@ DEFAULT_CRASH_RATES = {
 }
 
 
-@dataclass
-class RecoveryChaosReport:
-    """Outcome of one crash-recovery fuzz run."""
-
-    seed: int
-    n_ops: int
-    digest: str = ""
-    crashes: int = 0
-    sites_crashed: tuple = ()
-    recoveries: int = 0
-    torn_recoveries: int = 0
-    snapshot_fallbacks: int = 0
-    replayed_total: int = 0
-    ops_applied: int = 0
-    ops_lost: int = 0
-    #: Oracle violations: (op index, description).  Must be empty.
-    errors: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-    def describe(self) -> str:
-        status = "ok" if self.ok else f"{len(self.errors)} ERRORS"
-        sites = ",".join(self.sites_crashed) or "-"
-        return (
-            f"chaos[recovery] seed={self.seed} ops={self.n_ops} "
-            f"crashes={self.crashes} ({sites}) recoveries={self.recoveries} "
-            f"torn={self.torn_recoveries} replayed={self.replayed_total} "
-            f"applied={self.ops_applied} lost={self.ops_lost} "
-            f"digest={self.digest[:16]} {status}"
-        )
-
-
 def run_recovery_campaign(
-    seed: int = 0,
-    n_ops: int = 1500,
-    *,
-    storage=None,
-    crash_rates: dict | None = None,
-    sync_every: int = 1,
-    snapshot_every: int | None = 64,
-    key_space: int = 48,
-    max_entries: int = 64,
-) -> RecoveryChaosReport:
+    seed: int = 0, n_ops: int = 1500, *, storage=None
+) -> CampaignReport:
     """Seeded crash-recovery fuzz over a journaled hash map.
 
-    Random update/delete churn runs against a pinned, WAL-journaled
-    :class:`~repro.ebpf.maps.HashMap` with a :class:`CrashPlan` armed
-    inside the durable-state code.  Every injected death is followed by
-    full recovery into a *fresh* kernel, and the recovered contents are
-    checked against a shadow oracle with the **prefix-consistency**
-    rule: the recovered map must equal the shadow after *exactly*
-    ``recovered_seq`` journaled operations — never a corrupted or
-    reordered state — and ``recovered_seq`` must be at least the last
-    durability barrier (an acknowledged flush never rolls back).
+    Random update/delete churn runs against a :class:`_JournaledMap`
+    with a :class:`CrashPlan` armed inside the durable-state code.
+    Every injected death is followed by full recovery into a *fresh*
+    kernel, judged by the prefix-consistency oracle with the last
+    durability barrier as the floor (an acknowledged flush never rolls
+    back).  ``storage`` defaults to an in-memory disk.
     """
-    import random
-
-    from repro.ebpf.maps import HashMap
-    from repro.errors import SimulatedCrash
-    from repro.kernel.machine import Kernel
-    from repro.sim.faults import CrashPlan
     from repro.state import DurableStore, MemStorage
 
-    PIN = "chaos/map"
-    KEY_SIZE, VALUE_SIZE = 8, 16
-    report = RecoveryChaosReport(seed, n_ops)
-    hasher = hashlib.sha256()
-    rng = random.Random(f"chaos:{seed}:recovery")
-    crash = CrashPlan(seed, crash_rates or DEFAULT_CRASH_RATES).build()
+    report = CampaignReport("recovery", seed, n_ops, counters=dict.fromkeys(
+        ("recoveries", "torn_recoveries", "snapshot_fallbacks",
+         "replayed_total", "ops_applied", "ops_lost"), 0,
+    ))
+    c = report.counters
+    crash = CrashPlan(seed, DEFAULT_CRASH_RATES).build()
     if storage is None:
         storage = MemStorage()
-
-    kernel = Kernel()
+    h = _JournaledMap(
+        report, random.Random(f"chaos:{seed}:recovery"), crash, "chaos"
+    )
     store = DurableStore(
-        storage=storage,
-        sync_every=sync_every,
-        snapshot_every=snapshot_every,
-        crash=crash,
+        storage=storage, sync_every=1, snapshot_every=64, crash=crash
     )
-    m = HashMap(
-        kernel.aspace,
-        kernel.vmalloc,
-        key_size=KEY_SIZE,
-        value_size=VALUE_SIZE,
-        max_entries=max_entries,
-        name="chaos",
-    )
-    store.attach(PIN, m)
-
-    # Shadow oracle: the journaled ops in sequence order.  shadow[i]
-    # carries seq i+1; values are the canonical post-write slot bytes.
-    shadow: list[tuple[str, bytes, bytes]] = []
+    h.create(store)
     durable_floor = 0
 
-    def apply_prefix(k: int) -> list[tuple[bytes, bytes]]:
-        d: dict[bytes, bytes] = {}
-        for op, key, value in shadow[:k]:
-            if op == "u":
-                d[key] = value
-            else:
-                d.pop(key, None)
-        return sorted(d.items())
-
-    def recover_after_crash(i: int):
-        nonlocal kernel, store, m, durable_floor, shadow
+    def recover_after_crash(i: int, site: str) -> None:
+        nonlocal store, durable_floor
+        report.mix(i, "crash", site)
         store.crash_volatile()
-        kernel = Kernel()
         store = DurableStore(
-            storage=storage,
-            sync_every=sync_every,
-            snapshot_every=snapshot_every,
-            crash=crash,
+            storage=storage, sync_every=1, snapshot_every=64, crash=crash
         )
-        attempts = 0
-        while True:
-            try:
-                m, rep = store.recover_map(PIN, kernel.aspace, kernel.vmalloc)
-                break
-            except SimulatedCrash:
-                # Recovery died mid-replay; a restarted recovery must
-                # succeed from the same durable bytes.
-                report.recoveries += 1
-                attempts += 1
-                if attempts > 50:  # rates near 1.0 would livelock
-                    crash.disarm("recovery.replay")
-        report.recoveries += 1
-        report.replayed_total += rep.replayed
+        had = len(h.shadow)
+        rep, seq_rec = h.recover(store, i, durable_floor, "recovery")
+        c["replayed_total"] += rep.replayed
         if rep.torn is not None:
-            report.torn_recoveries += 1
-        report.snapshot_fallbacks += rep.snapshots_discarded
-        seq_rec = rep.recovered_seq
-        if seq_rec < durable_floor:
-            _record_error(
-                report, i,
-                f"recovery rolled back past durability barrier: "
-                f"seq {seq_rec} < floor {durable_floor}",
-            )
-        if seq_rec > len(shadow):
-            _record_error(
-                report, i,
-                f"recovered seq {seq_rec} beyond {len(shadow)} shadow ops",
-            )
-            seq_rec = len(shadow)
-        want = apply_prefix(seq_rec)
-        got = m.entries()
-        if got != want:
-            _record_error(
-                report, i,
-                f"recovered state is not the seq-{seq_rec} prefix: "
-                f"{len(got)} entries vs {len(want)} expected",
-            )
-        report.ops_lost += len(shadow) - seq_rec
-        shadow = shadow[:seq_rec]
+            c["torn_recoveries"] += 1
+        c["snapshot_fallbacks"] += rep.snapshots_discarded
+        c["ops_lost"] += had - seq_rec
         durable_floor = seq_rec
-        _mix(hasher, "recover", i, seq_rec, rep.torn or "-", rep.replayed)
+        report.mix("recover", i, seq_rec, rep.torn or "-", rep.replayed)
 
     for i in range(n_ops):
-        key = rng.randrange(key_space).to_bytes(KEY_SIZE, "little")
-        do_delete = rng.random() < 0.25
-        value = (
-            b"" if do_delete else rng.getrandbits(8 * VALUE_SIZE).to_bytes(
-                VALUE_SIZE, "little"
-            )
-        )
         try:
-            rc = m.delete(key) if do_delete else m.update(key, value)
+            rc = h.mutate(i)
         except SimulatedCrash as e:
-            # The in-memory mutation and its WAL append both happened
-            # before any crash site can fire, so the op joins the
-            # shadow before recovery rules on how much history survived.
-            if do_delete:
-                shadow.append(("d", key, b""))
-            else:
-                canonical = m.aspace.read_bytes(m.lookup(key), VALUE_SIZE)
-                shadow.append(("u", key, canonical))
-            report.crashes += 1
-            _mix(hasher, i, "crash", e.site)
-            recover_after_crash(i)
+            recover_after_crash(i, e.site)
             continue
         if rc == 0:
-            if do_delete:
-                shadow.append(("d", key, b""))
-            else:
-                canonical = m.aspace.read_bytes(m.lookup(key), VALUE_SIZE)
-                shadow.append(("u", key, canonical))
-            report.ops_applied += 1
-            durable_floor = max(durable_floor, store.wal(PIN).durable_seq)
-        _mix(hasher, i, "d" if do_delete else "u", key.hex(), value.hex(), rc)
+            c["ops_applied"] += 1
+            durable_floor = max(durable_floor, store.wal(h.PIN).durable_seq)
 
     # Final pass: flush, restart with injection off, expect *exact*
     # convergence — nothing pending, nothing torn, full history.
     try:
         store.flush()
     except SimulatedCrash as e:
-        report.crashes += 1
-        _mix(hasher, n_ops, "crash", e.site)
-        recover_after_crash(n_ops)
+        recover_after_crash(n_ops, e.site)
         store.flush()
     store.crash_volatile()
-    kernel = Kernel()
-    clean_store = DurableStore(storage=storage, sync_every=sync_every)
-    m, rep = clean_store.recover_map(PIN, kernel.aspace, kernel.vmalloc)
-    if rep.recovered_seq != len(shadow):
-        _record_error(
-            report, n_ops,
-            f"clean recovery lost acknowledged ops: seq {rep.recovered_seq} "
-            f"!= {len(shadow)}",
-        )
-    if m.entries() != apply_prefix(len(shadow)):
-        _record_error(report, n_ops, "clean recovery state mismatch")
+    rep, _ = h.recover(
+        DurableStore(storage=storage, sync_every=1),
+        n_ops, len(h.shadow), "clean recovery",
+    )
     if rep.torn is not None:
-        _record_error(report, n_ops, f"clean recovery saw torn WAL: {rep.torn}")
-    report.recoveries += 1
+        report.error(n_ops, f"clean recovery saw torn WAL: {rep.torn}")
+    return _seal_crashes(report, crash)
 
-    report.crashes = crash.total_crashes()
-    report.sites_crashed = tuple(sorted(crash.sites_crashed()))
-    for site, ordinal in crash.log:
-        _mix(hasher, "crashlog", site, ordinal)
-    report.digest = hasher.hexdigest()
-    return report
 
+# ---------------------------------------------------------------------------
+# Replicated durable state (repro.state.replication)
+# ---------------------------------------------------------------------------
 
 DEFAULT_REPLICATION_RATES = {
     # primary-side durability sites (kept mild: each fires a promotion)
@@ -665,64 +636,13 @@ DEFAULT_REPLICATION_RATES = {
 }
 
 
-@dataclass
-class ReplicationChaosReport:
-    """Outcome of one replicated-durability fuzz run."""
-
-    seed: int
-    n_ops: int
-    sync_replicas: int = 1
-    digest: str = ""
-    deaths: int = 0
-    sites_crashed: tuple = ()
-    primary_deaths: int = 0
-    follower_deaths: int = 0
-    promotion_deaths: int = 0
-    promotions: int = 0
-    epoch: int = 1
-    recoveries: int = 0
-    follower_restarts: int = 0
-    acked_ops: int = 0
-    quorum_losses: int = 0
-    resyncs: int = 0
-    snapshots_shipped: int = 0
-    fence_checks: int = 0
-    #: Oracle violations: (op index, description).  Must be empty.
-    errors: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-    def describe(self) -> str:
-        status = "ok" if self.ok else f"{len(self.errors)} ERRORS"
-        sites = ",".join(self.sites_crashed) or "-"
-        return (
-            f"chaos[replication] seed={self.seed} ops={self.n_ops} "
-            f"k={self.sync_replicas} deaths={self.deaths} ({sites}) "
-            f"primary={self.primary_deaths} follower={self.follower_deaths} "
-            f"promotions={self.promotions} epoch={self.epoch} "
-            f"acked={self.acked_ops} qlost={self.quorum_losses} "
-            f"resyncs={self.resyncs} fences={self.fence_checks} "
-            f"digest={self.digest[:16]} {status}"
-        )
-
-
 def run_replication_campaign(
-    seed: int = 0,
-    n_ops: int = 1200,
-    *,
-    n_followers: int = 2,
-    sync_replicas: int = 1,
-    crash_rates: dict | None = None,
-    snapshot_every: int | None = 64,
-    key_space: int = 48,
-    max_entries: int = 64,
-) -> ReplicationChaosReport:
-    """Seeded fuzz over a full replica set: primary + N followers.
+    seed: int = 0, n_ops: int = 1200, *, sync_replicas: int = 1
+) -> CampaignReport:
+    """Seeded fuzz over a full replica set: primary + 2 followers.
 
-    Random churn runs against a journaled map whose WAL is shipped to
-    ``n_followers`` in-process replicas at write quorum
+    Random churn runs against a :class:`_JournaledMap` whose WAL is
+    shipped to two in-process replicas at write quorum
     ``sync_replicas``.  Crash injection kills the primary (wal/snapshot
     /ship sites), followers (replica.* and antientropy.install fire
     *inside* the follower's frame handler — a death the primary sees as
@@ -739,12 +659,9 @@ def run_replication_campaign(
     prefix at that seq.  The final convergence pass then requires every
     node's durable bytes to recover to the *exact* full history.
     """
-    import random
-
-    from repro.ebpf.maps import HashMap
-    from repro.errors import PrimaryFenced, QuorumLost, SimulatedCrash
+    from repro.errors import PrimaryFenced, QuorumLost
     from repro.kernel.machine import Kernel
-    from repro.sim.faults import CRASH_SITES, CrashPlan
+    from repro.sim.faults import CRASH_SITES
     from repro.state import DurableStore, MemStorage
     from repro.state.replication import (
         MSG_APPEND,
@@ -752,27 +669,33 @@ def run_replication_campaign(
         LocalChannel,
         QuorumShipper,
         ReplicaSession,
+        ShipStats,
         decode_frame,
         encode_frame,
     )
 
-    PIN = "chaos/map"
-    KEY_SIZE, VALUE_SIZE = 8, 16
-    report = ReplicationChaosReport(seed, n_ops, sync_replicas=sync_replicas)
-    hasher = hashlib.sha256()
-    rng = random.Random(f"chaos:{seed}:replication")
-    crash = CrashPlan(seed, crash_rates or DEFAULT_REPLICATION_RATES).build()
+    report = CampaignReport("replication", seed, n_ops, counters={
+        "sync_replicas": sync_replicas,
+        **dict.fromkeys(
+            ("primary_deaths", "follower_deaths", "promotion_deaths",
+             "promotions", "epoch", "recoveries", "follower_restarts",
+             "acked_ops", "quorum_losses", "resyncs", "snapshots_shipped",
+             "fence_checks"), 0,
+        ),
+    })
+    c = report.counters
+    crash = CrashPlan(seed, DEFAULT_REPLICATION_RATES).build()
+    h = _JournaledMap(
+        report, random.Random(f"chaos:{seed}:replication"), crash, "chaos-repl"
+    )
+    PIN = h.PIN
 
-    n_nodes = n_followers + 1
+    n_nodes = 3
     node_storage = [MemStorage() for _ in range(n_nodes)]
     primary = 0
     epoch = 1
     sessions: dict[int, ReplicaSession] = {}
     channels: dict[int, LocalChannel] = {}
-
-    from repro.state.replication import ShipStats
-
-    shadow: list[tuple[str, bytes, bytes]] = []
     #: seq -> follower node_ids that durably acked it (quorum evidence).
     acked: dict[int, tuple[str, ...]] = {}
     #: Shipping totals across every primary incarnation.
@@ -781,61 +704,53 @@ def run_replication_campaign(
     def follower_nodes() -> list[int]:
         return [n for n in range(n_nodes) if n != primary]
 
+    def live_followers() -> dict[int, ReplicaSession]:
+        return {
+            n: sessions[n] for n in follower_nodes()
+            if n in sessions and not sessions[n].crashed
+        }
+
+    def new_session(n: int) -> ReplicaSession:
+        return ReplicaSession(node_storage[n], node_id=f"n{n}", crash=crash)
+
     def boot_followers() -> None:
         for n in follower_nodes():
             sess = sessions.get(n)
             if sess is None or sess.crashed:
-                sessions[n] = ReplicaSession(
-                    node_storage[n], node_id=f"n{n}", crash=crash
-                )
+                sessions[n] = new_session(n)
                 if sess is not None:
-                    report.follower_restarts += 1
+                    c["follower_restarts"] += 1
                 ch = channels.get(n)
                 if ch is not None:
                     ch.restart(sessions[n])
 
-    def make_shipper() -> QuorumShipper:
+    def open_primary():
+        """A shipper over every follower's channel and the primary's
+        store on top of it."""
         chans = []
         for n in follower_nodes():
             ch = LocalChannel(f"n{n}", sessions.get(n))
             channels[n] = ch
             chans.append(ch)
-        return QuorumShipper(
+        shipper = QuorumShipper(
             chans,
             sync_replicas=sync_replicas,
             epoch=epoch,
             crash=crash,
             maintenance_every=None,  # the harness repairs deterministically
         )
-
-    def apply_prefix(k: int) -> list[tuple[bytes, bytes]]:
-        d: dict[bytes, bytes] = {}
-        for op, key, value in shadow[:k]:
-            if op == "u":
-                d[key] = value
-            else:
-                d.pop(key, None)
-        return sorted(d.items())
+        store = DurableStore(
+            storage=node_storage[primary],
+            sync_every=1,
+            snapshot_every=64,
+            crash=crash,
+            shipper=shipper,
+        )
+        return shipper, store
 
     boot_followers()
-    kernel = Kernel()
-    shipper = make_shipper()
-    store = DurableStore(
-        storage=node_storage[primary],
-        sync_every=1,
-        snapshot_every=snapshot_every,
-        crash=crash,
-        shipper=shipper,
-    )
-    m = HashMap(
-        kernel.aspace,
-        kernel.vmalloc,
-        key_size=KEY_SIZE,
-        value_size=VALUE_SIZE,
-        max_entries=max_entries,
-        name="chaos-repl",
-    )
-    store.attach(PIN, m)
+    shipper, store = open_primary()
+    h.create(store)
 
     def count_follower_deaths() -> None:
         # A follower death shows up as a crashed session; tally once.
@@ -845,22 +760,17 @@ def run_replication_campaign(
                 sess, "_counted", False
             ):
                 sess._counted = True
-                report.follower_deaths += 1
+                c["follower_deaths"] += 1
 
     def handle_primary_death(i: int, site: str) -> None:
-        nonlocal primary, epoch, kernel, store, m, shipper, shadow, acked
-        report.primary_deaths += 1
-        _mix(hasher, i, "primary-death", site)
+        nonlocal primary, epoch, store, shipper, acked
+        c["primary_deaths"] += 1
+        report.mix(i, "primary-death", site)
         store.crash_volatile()
         count_follower_deaths()
         attempts = 0
-        floor = 0
         while True:
-            live = {
-                n: sessions[n]
-                for n in follower_nodes()
-                if sessions.get(n) is not None and not sessions[n].crashed
-            }
+            live = live_followers()
             floor = 0
             for q, nodes in acked.items():
                 if any(f"n{n}" in nodes for n in live):
@@ -882,7 +792,7 @@ def run_replication_campaign(
                 except SimulatedCrash:
                     # The chosen promotee died mid-promotion: its
                     # volatile state is gone, pick the next-best.
-                    report.promotion_deaths += 1
+                    c["promotion_deaths"] += 1
                     sessions[promoted].crashed = True
                     node_storage[promoted].crash()
                     count_follower_deaths()
@@ -895,59 +805,19 @@ def run_replication_campaign(
         primary = promoted
         epoch += 1
         if promoted != old_primary:
-            report.promotions += 1
+            c["promotions"] += 1
             sessions.pop(promoted, None)
             # The deposed node rejoins as a follower over its surviving
             # storage; its unshipped WAL suffix is untrusted (dirty)
             # until a snapshot re-bases it under the new epoch.
-            sessions[old_primary] = ReplicaSession(
-                node_storage[old_primary], node_id=f"n{old_primary}",
-                crash=crash,
-            )
+            sessions[old_primary] = new_session(old_primary)
         boot_followers()
-        kernel = Kernel()
         total_ship.merge(shipper.stats)
-        shipper = make_shipper()
-        store = DurableStore(
-            storage=node_storage[primary],
-            sync_every=1,
-            snapshot_every=snapshot_every,
-            crash=crash,
-            shipper=shipper,
-        )
-        rattempts = 0
-        while True:
-            try:
-                m, rep = store.recover_map(PIN, kernel.aspace, kernel.vmalloc)
-                break
-            except SimulatedCrash:
-                report.recoveries += 1
-                rattempts += 1
-                if rattempts > 50:
-                    crash.disarm("recovery.replay")
-        report.recoveries += 1
-        seq_rec = rep.recovered_seq
-        if seq_rec < floor:
-            _record_error(
-                report, i,
-                f"acked write lost in promotion: recovered seq {seq_rec} "
-                f"< acked floor {floor}",
-            )
-        if seq_rec > len(shadow):
-            _record_error(
-                report, i,
-                f"recovered seq {seq_rec} beyond {len(shadow)} shadow ops",
-            )
-            seq_rec = len(shadow)
-        if m.entries() != apply_prefix(seq_rec):
-            _record_error(
-                report, i,
-                f"promoted state is not the seq-{seq_rec} shadow prefix",
-            )
-        shadow = shadow[:seq_rec]
+        shipper, store = open_primary()
+        _, seq_rec = h.recover(store, i, floor, "promotion")
         acked = {q: v for q, v in acked.items() if q <= seq_rec}
         shipper.announce()  # fence survivors onto the new epoch
-        _mix(hasher, "promote", i, primary, epoch, seq_rec)
+        report.mix("promote", i, primary, epoch, seq_rec)
 
     def repair_followers() -> None:
         """Restart dead followers and run one anti-entropy pass.  May
@@ -957,75 +827,40 @@ def run_replication_campaign(
         shipper.maintenance()
 
     for i in range(n_ops):
-        if report.promotions and i % 61 == 0:
+        if c["promotions"] and i % 61 == 0:
             # A deposed primary's late frame must bounce: any follower
             # already at the current epoch answers ST_FENCED.
-            for n in follower_nodes():
-                sess = sessions.get(n)
-                if sess is not None and not sess.crashed \
-                        and sess.epoch >= epoch:
+            for sess in live_followers().values():
+                if sess.epoch >= epoch:
                     stale = encode_frame(MSG_APPEND, epoch - 1, 1 << 40,
                                          PIN, b"")
                     ack = decode_frame(sess.handle_frame(stale))
                     if ack.status != ST_FENCED:
-                        _record_error(
-                            report, i,
+                        report.error(
+                            i,
                             f"stale epoch {epoch - 1} frame not fenced "
                             f"(status {ack.status})",
                         )
-                    report.fence_checks += 1
+                    c["fence_checks"] += 1
                     break
 
-        key = rng.randrange(key_space).to_bytes(KEY_SIZE, "little")
-        do_delete = rng.random() < 0.25
-        value = (
-            b"" if do_delete else rng.getrandbits(8 * VALUE_SIZE).to_bytes(
-                VALUE_SIZE, "little"
-            )
-        )
         try:
-            rc = m.delete(key) if do_delete else m.update(key, value)
-        except SimulatedCrash as e:
-            # Mutation + WAL append landed before the crash site fired;
-            # the op joins the shadow and promotion rules on survival.
-            if do_delete:
-                shadow.append(("d", key, b""))
-            else:
-                canonical = m.aspace.read_bytes(m.lookup(key), VALUE_SIZE)
-                shadow.append(("u", key, canonical))
-            handle_primary_death(i, e.site)
-            continue
-        if rc == 0:
-            if do_delete:
-                shadow.append(("d", key, b""))
-            else:
-                canonical = m.aspace.read_bytes(m.lookup(key), VALUE_SIZE)
-                shadow.append(("u", key, canonical))
-        _mix(hasher, i, "d" if do_delete else "u", key.hex(), value.hex(), rc)
-
-        try:
-            for q, nodes in shipper.commit().items():
-                acked[q] = nodes
-                report.acked_ops += 1
-        except SimulatedCrash as e:
-            handle_primary_death(i, e.site)
-            continue
-        except QuorumLost:
-            # Durable locally, NOT acked to the client; the shadow op
-            # stays (it is history) but `acked` does not record it.
-            report.quorum_losses += 1
-        except PrimaryFenced:
-            _record_error(report, i, "primary fenced without a promotion")
-
-        if any(
-            sessions.get(n) is None or sessions[n].crashed
-            for n in follower_nodes()
-        ):
+            h.mutate(i)
             try:
+                for q, nodes in shipper.commit().items():
+                    acked[q] = nodes
+                    c["acked_ops"] += 1
+            except QuorumLost:
+                # Durable locally, NOT acked to the client; the shadow
+                # op stays (it is history) but `acked` does not record it.
+                c["quorum_losses"] += 1
+            except PrimaryFenced:
+                report.error(i, "primary fenced without a promotion")
+            if len(live_followers()) < n_nodes - 1:
                 repair_followers()
-            except SimulatedCrash as e:
-                handle_primary_death(i, e.site)
-                continue
+        except SimulatedCrash as e:
+            # Wherever the primary died, the rest of the step is moot.
+            handle_primary_death(i, e.site)
 
     # Convergence: keep repairing (injection still armed) until every
     # follower's verified watermark reaches the full history, then
@@ -1040,11 +875,9 @@ def run_replication_campaign(
             store.flush()
             shipper.commit()
             target = store.wal(PIN).seq
-            if all(
-                sessions.get(n) is not None
-                and not sessions[n].crashed
-                and sessions[n].watermark(PIN) == target
-                for n in follower_nodes()
+            live = live_followers()
+            if len(live) == n_nodes - 1 and all(
+                sess.watermark(PIN) == target for sess in live.values()
             ):
                 converged = True
                 break
@@ -1053,40 +886,35 @@ def run_replication_campaign(
         except (QuorumLost, PrimaryFenced):
             pass
     if not converged:
-        _record_error(report, n_ops, "replica set failed to converge")
+        report.error(n_ops, "replica set failed to converge")
     else:
-        target = len(shadow)
-        want = apply_prefix(target)
+        target = len(h.shadow)
+        want = h.prefix(target)
         for n in range(n_nodes):
             fstore = DurableStore(storage=node_storage[n])
             fk = Kernel()
             try:
                 fm, frep = fstore.recover_map(PIN, fk.aspace, fk.vmalloc)
             except Exception as exc:
-                _record_error(report, n_ops, f"node {n} unrecoverable: {exc}")
+                report.error(n_ops, f"node {n} unrecoverable: {exc}")
                 continue
             if frep.recovered_seq != target:
-                _record_error(
-                    report, n_ops,
+                report.error(
+                    n_ops,
                     f"node {n} converged to seq {frep.recovered_seq}, "
                     f"expected {target}",
                 )
             elif fm.entries() != want:
-                _record_error(
-                    report, n_ops, f"node {n} state diverges at seq {target}"
+                report.error(
+                    n_ops, f"node {n} state diverges at seq {target}"
                 )
 
     count_follower_deaths()
-    report.deaths = crash.total_crashes()
-    report.sites_crashed = tuple(sorted(crash.sites_crashed()))
-    report.epoch = epoch
+    c["epoch"] = epoch
     total_ship.merge(shipper.stats)
-    report.resyncs = total_ship.resyncs
-    report.snapshots_shipped = total_ship.snapshots_shipped
-    for site, ordinal in crash.log:
-        _mix(hasher, "crashlog", site, ordinal)
-    report.digest = hasher.hexdigest()
-    return report
+    c["resyncs"] = total_ship.resyncs
+    c["snapshots_shipped"] = total_ship.snapshots_shipped
+    return _seal_crashes(report, crash)
 
 
 # ---------------------------------------------------------------------------
@@ -1110,59 +938,7 @@ DEFAULT_FLEET_RATES = {
 }
 
 
-@dataclass
-class FleetChaosReport:
-    """Outcome of one fleet-control-plane fuzz run."""
-
-    seed: int
-    n_ops: int
-    digest: str = ""
-    deaths: int = 0
-    sites_crashed: tuple = ()
-    migration_deaths: int = 0
-    rollout_deaths: int = 0
-    scale_outs: int = 0
-    scale_ins: int = 0
-    aborted_migrations: int = 0
-    rollouts: int = 0
-    promotes: int = 0
-    rollbacks: int = 0
-    no_datas: int = 0
-    aborted_rollouts: int = 0
-    recoveries: int = 0
-    rescans: int = 0
-    shards_final: int = 0
-    acked_ops: int = 0
-    #: Oracle violations: (op index, description).  Must be empty.
-    errors: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-    def describe(self) -> str:
-        status = "ok" if self.ok else f"{len(self.errors)} ERRORS"
-        sites = ",".join(self.sites_crashed) or "-"
-        return (
-            f"chaos[fleet] seed={self.seed} ops={self.n_ops} "
-            f"deaths={self.deaths} ({sites}) "
-            f"mig={self.migration_deaths} roll={self.rollout_deaths} "
-            f"out={self.scale_outs} in={self.scale_ins} "
-            f"rollouts={self.rollouts} promote={self.promotes} "
-            f"rollback={self.rollbacks} nodata={self.no_datas} "
-            f"rescans={self.rescans} shards={self.shards_final} "
-            f"acked={self.acked_ops} digest={self.digest[:16]} {status}"
-        )
-
-
-def run_fleet_campaign(
-    seed: int = 0,
-    ops: int = 400,
-    *,
-    n_shards: int = 2,
-    n_keys: int = 512,
-    report: FleetChaosReport | None = None,
-) -> FleetChaosReport:
+def run_fleet_campaign(seed: int = 0, n_ops: int = 400) -> CampaignReport:
     """Seeded crash-point fuzz over the fleet control plane.
 
     An inline fleet (no threads, no sockets — every shard a full
@@ -1185,16 +961,12 @@ def run_fleet_campaign(
     * **rollout safety** — a flaky artifact is never promoted
       fleet-wide, and a clean artifact is never rolled back.
     """
-    import random as _random
-
     from repro.apps.memcached import protocol as P
     from repro.apps.memcached.durable_ext import (
         build_durable_memcached_program,
     )
-    from repro.errors import SimulatedCrash
     from repro.fleet.migrate import SegmentMigration, inline_call
     from repro.fleet.rollout import (
-        NO_DATA,
         PROMOTE,
         ROLLBACK,
         CanaryJudge,
@@ -1203,13 +975,18 @@ def run_fleet_campaign(
     from repro.fleet.spec import CanaryPolicy
     from repro.net.service import DurableMemcachedService
     from repro.net.shard import ConsistentHashRing
-    from repro.sim.faults import CrashPlan
     from repro.state.storage import MemStorage
     from repro.state.store import DurableStore
 
-    report = report or FleetChaosReport(seed=seed, n_ops=ops)
-    rng = _random.Random(f"fleetchaos:{seed}")
-    hasher = hashlib.sha256()
+    report = CampaignReport("fleet", seed, n_ops, counters=dict.fromkeys(
+        ("migration_deaths", "rollout_deaths", "scale_outs", "scale_ins",
+         "aborted_migrations", "rollouts", "promotes", "rollbacks",
+         "no_datas", "aborted_rollouts", "recoveries", "rescans",
+         "shards_final", "acked_ops"), 0,
+    ))
+    c = report.counters
+    rng = random.Random(f"fleetchaos:{seed}")
+    n_shards, n_keys = 2, 512
     crash = CrashPlan(seed, rates=dict(DEFAULT_FLEET_RATES)).build()
     PIN = "memcached/cache"
 
@@ -1245,7 +1022,7 @@ def run_fleet_campaign(
                 )
             except SimulatedCrash:
                 shards[sid]["storage"].crash()
-                report.recoveries += 1
+                c["recoveries"] += 1
                 attempts += 1
                 if attempts >= 25:
                     crash.disarm("recovery.replay")
@@ -1253,7 +1030,7 @@ def run_fleet_campaign(
     def kill(sid: int) -> None:
         shards[sid]["svc"].store.crash_volatile()
         shards[sid]["svc"] = build_svc(sid)
-        report.recoveries += 1
+        c["recoveries"] += 1
 
     for sid in range(n_shards):
         shards[sid] = {"storage": MemStorage()}
@@ -1271,42 +1048,44 @@ def run_fleet_campaign(
         fw = flaky_window[0]
         return fw is not None and fw[0] == sid and (key_id & fw[1]) == 0
 
+    def check_read(i: int, ctx: str, sid: int, key_id: int, reply) -> None:
+        """The client-visible oracle: a request goes unanswered only
+        inside a flaky canary's window, an acked write reads back
+        bit-identical, and a key never acked never reads back."""
+        if reply is None:
+            if not tolerated_drop(sid, key_id):
+                report.error(
+                    i,
+                    f"[{ctx}] request dropped outside a flaky window "
+                    f"(shard {sid}, key {key_id})",
+                )
+            return
+        hit, value = P.decode_reply(reply)
+        expected = shadow.get(key_id)
+        if expected is None:
+            if hit:
+                report.error(i, f"phantom hit for never-acked key {key_id}")
+        elif not hit or value != expected:
+            report.error(
+                i,
+                f"[{ctx}] acked write lost: key {key_id} expected "
+                f"{expected}, got hit={hit} value={value}",
+            )
+
     def do_request(i: int, key_id: int, set_val=None) -> None:
         sid = ring.shard_of(key_id)
-        svc = shards[sid]["svc"]
         payload = (
             P.encode_set(key_id, set_val)
             if set_val is not None
             else P.encode_get(key_id)
         )
-        reply, path = svc.ingress(payload, 0)
-        _mix(hasher, "req", i, sid, key_id, set_val, path)
-        if reply is None:
-            if not tolerated_drop(sid, key_id):
-                _record_error(
-                    report, i,
-                    f"request dropped outside a flaky window "
-                    f"(shard {sid}, key {key_id}, path {path})",
-                )
-            return
-        hit, value = P.decode_reply(reply)
-        if set_val is not None:
-            if hit:
-                shadow[key_id] = set_val
-                report.acked_ops += 1
-            return
-        expected = shadow.get(key_id)
-        if expected is None:
-            if hit:
-                _record_error(
-                    report, i, f"phantom hit for never-acked key {key_id}"
-                )
-        elif not hit or value != expected:
-            _record_error(
-                report, i,
-                f"acked write lost: key {key_id} expected {expected}, "
-                f"got hit={hit} value={value}",
-            )
+        reply, path = shards[sid]["svc"].ingress(payload, 0)
+        report.mix("req", i, sid, key_id, set_val, path)
+        if set_val is None or reply is None:
+            check_read(i, "req", sid, key_id, reply)
+        elif P.decode_reply(reply)[0]:
+            shadow[key_id] = set_val
+            c["acked_ops"] += 1
 
     def traffic(i: int, n: int) -> None:
         for _ in range(n):
@@ -1322,20 +1101,7 @@ def run_fleet_campaign(
         for k in sorted(shadow):
             sid = ring.shard_of(k)
             reply, _ = shards[sid]["svc"].ingress(P.encode_get(k), 0)
-            if reply is None:
-                if tolerated_drop(sid, k):
-                    continue
-                _record_error(
-                    report, i, f"[{ctx}] no reply for acked key {k}"
-                )
-                continue
-            hit, value = P.decode_reply(reply)
-            if not hit or value != shadow[k]:
-                _record_error(
-                    report, i,
-                    f"[{ctx}] acked write lost: key {k} expected "
-                    f"{shadow[k]}, got hit={hit} value={value}",
-                )
+            check_read(i, ctx, sid, k, reply)
 
     def victim_of(site: str, cur: dict) -> int:
         return cur["src"] if site == "migrate.snapshot" else cur["dst"]
@@ -1376,20 +1142,21 @@ def run_fleet_campaign(
                 mig.final_tail()
         except SimulatedCrash as exc:
             site = str(exc.args[0]) if exc.args else "?"
-            _mix(hasher, "death", i, site, cur["src"], cur["dst"])
+            report.mix("death", i, site, cur["src"], cur["dst"])
             kill(victim_of(site, cur))
             return False
         # Atomic cutover.
         ring.__dict__.update(new_ring.__dict__)
-        report.rescans += sum(m.report.rescans for _, _, m in migs)
+        c["rescans"] += sum(m.report.rescans for _, _, m in migs)
         if cleanup_sources:
             for src, dst, mig in migs:
                 mig.cleanup_source()
         return True
 
     def event_scale_out(i) -> None:
-        sid = next_sid_holder[0]
-        next_sid_holder[0] += 1
+        nonlocal next_sid
+        sid = next_sid
+        next_sid += 1
         shards[sid] = {"storage": MemStorage()}
         versions[sid] = state["stable"]
         shards[sid]["svc"] = build_svc(sid)
@@ -1399,13 +1166,13 @@ def run_fleet_campaign(
         plan_ = [(src, sid, moved) for src in ring.nodes]
         for _ in range(10):
             if run_migrations(i, plan_, new_ring, cleanup_sources=True):
-                report.scale_outs += 1
+                c["scale_outs"] += 1
                 return
         # Could not complete: the new shard never joined the ring, so
         # dropping it wholesale is invisible to clients.
         shards.pop(sid)
         versions.pop(sid)
-        report.aborted_migrations += 1
+        c["aborted_migrations"] += 1
 
     def event_scale_in(i) -> None:
         sid = rng.choice(ring.nodes)
@@ -1419,9 +1186,9 @@ def run_fleet_campaign(
             if run_migrations(i, plan_, new_ring, cleanup_sources=False):
                 shards.pop(sid)
                 versions.pop(sid)
-                report.scale_ins += 1
+                c["scale_ins"] += 1
                 return
-        report.aborted_migrations += 1
+        c["aborted_migrations"] += 1
 
     judge = CanaryJudge(CanaryPolicy(min_requests=1, fault_margin=0.01))
 
@@ -1437,15 +1204,25 @@ def run_fleet_campaign(
             bad_frames=sum(r.bad_frames for r in rs),
         )
 
+    def swap_to(sid: int, version: str, site: str) -> None:
+        """Swap a shard onto ``version``.  Dying at ``site`` ends in
+        the same place: recovery rebuilds the shard on ``version``."""
+        try:
+            crash.at(site)
+            shards[sid]["svc"].swap_program(builder_for(version))
+            versions[sid] = version
+        except SimulatedCrash:
+            versions[sid] = version
+            kill(sid)
+
     def event_rollout(i) -> None:
-        vcounter_holder[0] += 1
+        nonlocal vcounter
+        vcounter += 1
         flaky = rng.random() < 0.5
-        version = (
-            f"flaky-{vcounter_holder[0]}" if flaky else f"good-{vcounter_holder[0]}"
-        )
+        version = f"flaky-{vcounter}" if flaky else f"good-{vcounter}"
         if version in quarantined:
             return
-        report.rollouts += 1
+        c["rollouts"] += 1
         canary = min(ring.nodes)
         others = [s for s in ring.nodes if s != canary]
         canary0 = reading(canary)
@@ -1455,7 +1232,7 @@ def run_fleet_campaign(
             shards[canary]["svc"].swap_program(builder_for(version))
         except SimulatedCrash:
             kill(canary)  # comes back serving its previous version
-            report.aborted_rollouts += 1
+            c["aborted_rollouts"] += 1
             return
         versions[canary] = version
         if flaky:
@@ -1471,61 +1248,45 @@ def run_fleet_campaign(
             versions[canary] = state["stable"]
             flaky_window[0] = None
             kill(canary)
-            report.aborted_rollouts += 1
+            c["aborted_rollouts"] += 1
             return
         canary_d = reading(canary).delta(canary0)
         base_d = sum_readings(others).delta(base0)
         verdict = judge.judge(canary_d, base_d)
-        _mix(hasher, "rollout", i, version, verdict,
-             canary_d.requests, canary_d.dropped)
+        report.mix(
+            "rollout", i, version, verdict, canary_d.requests, canary_d.dropped
+        )
         if verdict == ROLLBACK:
             if not flaky:
-                _record_error(
-                    report, i,
+                report.error(
+                    i,
                     f"clean artifact {version} rolled back "
                     f"(canary {canary_d}, baseline {base_d})",
                 )
             flaky_window[0] = None
-            try:
-                crash.at("rollout.rollback")
-                shards[canary]["svc"].swap_program(builder_for(state["stable"]))
-                versions[canary] = state["stable"]
-            except SimulatedCrash:
-                versions[canary] = state["stable"]
-                kill(canary)  # recovery rebuilds on stable: same outcome
+            swap_to(canary, state["stable"], "rollout.rollback")
             quarantined.add(version)
-            report.rollbacks += 1
+            c["rollbacks"] += 1
         elif verdict == PROMOTE:
             if flaky:
-                _record_error(
-                    report, i,
+                report.error(
+                    i,
                     f"flaky artifact {version} promoted fleet-wide "
                     f"(canary {canary_d}, baseline {base_d})",
                 )
             for sid in others:
-                try:
-                    crash.at("rollout.promote")
-                    shards[sid]["svc"].swap_program(builder_for(version))
-                    versions[sid] = version
-                except SimulatedCrash:
-                    # Recovery completes the promote: the rebuilt shard
-                    # comes up on the new version.
-                    versions[sid] = version
-                    kill(sid)
+                swap_to(sid, version, "rollout.promote")
             state["stable"] = version
             flaky_window[0] = None
-            report.promotes += 1
+            c["promotes"] += 1
         else:  # NO_DATA: neither promote nor roll back (nor quarantine)
             flaky_window[0] = None
             shards[canary]["svc"].swap_program(builder_for(state["stable"]))
             versions[canary] = state["stable"]
-            report.no_datas += 1
-
-    next_sid_holder = [next_sid]
-    vcounter_holder = [vcounter]
+            c["no_datas"] += 1
 
     traffic(0, 40)  # seed the key-space before the first event
-    for i in range(1, ops + 1):
+    for i in range(1, n_ops + 1):
         traffic(i, 8)
         if i % 6 == 0:
             n_live = len(ring.nodes)
@@ -1535,7 +1296,7 @@ def run_fleet_campaign(
             if n_live > 2:
                 choices.append("in")
             ev = rng.choice(choices)
-            _mix(hasher, "event", i, ev)
+            report.mix("event", i, ev)
             if ev == "out":
                 event_scale_out(i)
             elif ev == "in":
@@ -1545,56 +1306,20 @@ def run_fleet_campaign(
             verify_all(i, ev)
 
     flaky_window[0] = None
-    verify_all(ops + 1, "final")
-    report.deaths = crash.total_crashes()
-    report.sites_crashed = tuple(sorted(crash.sites_crashed()))
-    report.migration_deaths = sum(
+    verify_all(n_ops + 1, "final")
+    c["migration_deaths"] = sum(
         n for s, n in crash.crashes.items() if s.startswith("migrate.")
     )
-    report.rollout_deaths = sum(
+    c["rollout_deaths"] = sum(
         n for s, n in crash.crashes.items() if s.startswith("rollout.")
     )
-    report.shards_final = len(ring.nodes)
-    for site, ordinal in crash.log:
-        _mix(hasher, "crashlog", site, ordinal)
-    report.digest = hasher.hexdigest()
-    return report
+    c["shards_final"] = len(ring.nodes)
+    return _seal_crashes(report, crash)
 
 
 # ---------------------------------------------------------------------------
 # Verification-service chaos: worker kills mid-exploration
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class VerifyChaosReport:
-    """Outcome of one verification-service worker-kill run."""
-
-    seed: int
-    n_programs: int
-    workers: int = 0
-    kills: int = 0
-    retries: int = 0
-    regions_retried: int = 0
-    #: Jobs whose merged analysis differed from the inline verifier.
-    mismatches: int = 0
-    #: Jobs that came back failed (must be zero: every program admits).
-    failures: int = 0
-    digest: str = ""
-    errors: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-    def describe(self) -> str:
-        status = "ok" if self.ok else f"{len(self.errors)} ERRORS"
-        return (
-            f"chaos[verify] seed={self.seed} programs={self.n_programs} "
-            f"workers={self.workers} kills={self.kills} "
-            f"retries={self.retries} regions_retried={self.regions_retried} "
-            f"digest={self.digest[:16]} {status}"
-        )
 
 
 def _verify_chaos_program(variant: int):
@@ -1624,35 +1349,38 @@ def _verify_chaos_program(variant: int):
 
 
 def run_verify_campaign(
-    seed: int = 0,
-    n_programs: int = 12,
-    *,
-    workers: int = 2,
-    profile: str = "default",
-) -> VerifyChaosReport:
+    seed: int = 0, n_programs: int = 12, *, workers: int = 2
+) -> CampaignReport:
     """Kill verification workers mid-exploration and check the
     scheduler's story: every killed job is retried (with the kill
     stripped), every retry re-explores from scratch, and every merged
     analysis is *bit-identical* to the inline single-threaded verifier
     — a crashed worker's partial progress is never admitted.
     """
-    import random
-
     from repro.ebpf.verifier import Verifier
     from repro.verify import VerificationService, VerifyJob
     from repro.verify.profiles import profile_config
 
     rng = random.Random(seed)
-    config = profile_config(profile)
-    report = VerifyChaosReport(seed, n_programs, workers=workers)
-    hasher = hashlib.sha256()
+    config = profile_config("default")
+    report = CampaignReport("verify", seed, n_programs, counters={
+        "workers": workers, "retries": 0, "regions_retried": 0,
+        # Jobs whose merged analysis differed from the inline verifier,
+        # and jobs that came back failed (every program admits).
+        "mismatches": 0, "failures": 0,
+    })
+    c = report.counters
 
     programs = [_verify_chaos_program(v) for v in range(n_programs)]
     jobs = []
+    kills = 0
     for i, prog in enumerate(programs):
         die = rng.randrange(1, 4) if rng.random() < 0.5 else None
         if die is not None:
-            report.kills += 1
+            kills += 1
+        # The kill schedule is the seed's whole effect: without it in
+        # the digest every seed would hash alike.
+        report.mix("job", i, die)
         jobs.append(VerifyJob(prog, config, die_after_regions=die))
 
     svc = VerificationService(workers=workers, poll_s=0.02)
@@ -1661,222 +1389,159 @@ def run_verify_campaign(
     finally:
         stats = dict(svc.stats)
         svc.close()
-    report.retries = stats["retries"]
-    report.regions_retried = stats["regions_retried"]
+    c["retries"] = stats["retries"]
+    c["regions_retried"] = stats["regions_retried"]
 
     for i, (prog, out) in enumerate(zip(programs, outs)):
         if out.error is not None:
-            report.failures += 1
-            report.errors.append((i, f"job failed: {out.error}"))
+            c["failures"] += 1
+            report.error(i, f"job failed: {out.error}")
             continue
         ref = Verifier(prog, config).verify()
         if out.analysis != ref:
-            report.mismatches += 1
-            report.errors.append(
-                (i, "merged analysis differs from inline verifier")
-            )
+            c["mismatches"] += 1
+            report.error(i, "merged analysis differs from inline verifier")
             continue
-        _mix(hasher, "verify", i, sorted(ref.object_tables),
-             ref.insns_processed)
-    if report.retries < report.kills:
-        report.errors.append(
-            (-1, f"only {report.retries} retries for {report.kills} kills")
-        )
-    report.digest = hasher.hexdigest()
-    return report
+        report.mix("verify", i, sorted(ref.object_tables), ref.insns_processed)
+    if c["retries"] < kills:
+        report.error(-1, f"only {c['retries']} retries for {kills} kills")
+    return report.seal(kills, ())
 
 
-_CAMPAIGNS = {
-    "memcached": run_memcached_campaign,
-    "redis": run_redis_campaign,
-    "datastructures": run_datastructures_campaign,
+# ---------------------------------------------------------------------------
+# The table and the driver
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Campaign:
+    """One :data:`CAMPAIGNS` row: everything the driver needs to run a
+    campaign as a gate."""
+
+    #: ``run(seed, n_ops, **kw) -> CampaignReport``.
+    run: Callable[..., CampaignReport]
+    #: Default ``--ops``.
+    ops: int
+    #: Run every leg once per engine (``engine=`` kwarg) and require
+    #: bit-identical digests across them.
+    engines: tuple = ()
+    #: Legs appended after the ``--runs`` seed sweep, as
+    #: ``(seed offset, ops -> leg ops, extra kwargs)``.
+    extra_legs: tuple = ()
+    #: Crash sites the legs together must hit, or the gate fails.
+    required_sites: frozenset = frozenset()
+    #: Accepts ``storage=`` (``--file-backed`` hands it a DirStorage).
+    file_backed: bool = False
+
+
+_BOTH_ENGINES = ("interp", "threaded")
+
+CAMPAIGNS: dict[str, Campaign] = {
+    "memcached": Campaign(run_memcached_campaign, 300, _BOTH_ENGINES),
+    "redis": Campaign(run_redis_campaign, 300, _BOTH_ENGINES),
+    "datastructures": Campaign(
+        run_datastructures_campaign, 300, _BOTH_ENGINES
+    ),
+    "recovery": Campaign(
+        run_recovery_campaign, 1500,
+        required_sites=frozenset(DEFAULT_CRASH_RATES),
+        file_backed=True,
+    ),
+    "replication": Campaign(
+        run_replication_campaign, 1200,
+        # One quorum-2 leg: every follower outage is then a quorum loss.
+        extra_legs=((99, lambda ops: max(400, ops // 2),
+                     {"sync_replicas": 2}),),
+        required_sites=frozenset({
+            "ship.send", "replica.append", "replica.flush",
+            "antientropy.install", "antientropy.send", "promote.recover",
+        }),
+    ),
+    "fleet": Campaign(
+        run_fleet_campaign, 150,
+        required_sites=frozenset(DEFAULT_FLEET_RATES) - {"recovery.replay"},
+    ),
+    "verify": Campaign(run_verify_campaign, 12),
 }
 
 
-def run_campaign(app: str, *args, **kwargs) -> ChaosReport:
-    return _CAMPAIGNS[app](*args, **kwargs)
+def run_gate(
+    name: str, seed: int, runs: int, ops: int | None, min_deaths: int,
+    storage_root: str | None = None,
+) -> bool:
+    """Run one campaign's legs, print every report, and apply the
+    gates: no oracle errors, no engine divergence, at least
+    ``min_deaths`` injected deaths, every required site exercised."""
+    campaign = CAMPAIGNS[name]
+    ops = ops or campaign.ops
+    legs = [(seed + i, ops, {}) for i in range(runs)]
+    legs += [(seed + d, f(ops), kw) for d, f, kw in campaign.extra_legs]
+    engine_kws = [{"engine": e} for e in campaign.engines] or [{}]
+    ok = True
+    deaths = 0
+    sites: set = set()
+    for n, (leg_seed, leg_ops, kw) in enumerate(legs):
+        if storage_root is not None:
+            from repro.state import DirStorage
+
+            kw = {**kw, "storage": DirStorage(f"{storage_root}/{name}-run{n}")}
+        reports = [
+            campaign.run(leg_seed, leg_ops, **kw, **engine_kw)
+            for engine_kw in engine_kws
+        ]
+        for report in reports:
+            print(report.describe())
+            for idx, msg in report.errors:
+                print(f"  op {idx}: {msg}")
+            deaths += report.deaths
+            sites |= set(report.sites)
+            ok &= report.ok
+        if len({r.digest for r in reports}) > 1:
+            print(f"  ENGINE DIVERGENCE in {name}: "
+                  f"{ {r.name: r.digest[:16] for r in reports} }")
+            ok = False
+    print(f"chaos[{name}]: {deaths} injected deaths over {len(legs)} runs")
+    if deaths < min_deaths:
+        print(f"  INSUFFICIENT DEATH COVERAGE: {deaths} < {min_deaths}")
+        ok = False
+    missing = campaign.required_sites - sites
+    if missing:
+        print(f"  CRASH SITES NOT EXERCISED: {sorted(missing)}")
+        ok = False
+    return ok
 
 
 def main(argv=None) -> int:
     import argparse
+    import tempfile
 
     ap = argparse.ArgumentParser(description="seeded chaos campaigns")
-    ap.add_argument(
-        "--apps", nargs="+", default=list(APPS), choices=(*APPS, "none"),
-        help='campaign apps; "none" skips app campaigns (recovery-only runs)',
-    )
-    ap.add_argument("--engines", nargs="+", default=["interp", "threaded"])
+    ap.add_argument("command", choices=("run",))
+    ap.add_argument("campaigns", nargs="+", choices=tuple(CAMPAIGNS))
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--ops", type=int, default=300)
-    ap.add_argument(
-        "--recovery", type=int, default=0, metavar="RUNS",
-        help="also run RUNS crash-recovery fuzz runs (seeds seed..seed+RUNS-1)",
-    )
-    ap.add_argument(
-        "--recovery-ops", type=int, default=1500,
-        help="mutations per recovery fuzz run",
-    )
-    ap.add_argument(
-        "--recovery-dir", default=None, metavar="DIR",
-        help="file-backed recovery fuzz under DIR (default: in-memory)",
-    )
-    ap.add_argument(
-        "--min-crashes", type=int, default=0,
-        help="fail unless the recovery runs injected at least this many crashes",
-    )
-    ap.add_argument(
-        "--replication", type=int, default=0, metavar="RUNS",
-        help="also run RUNS replicated-durability fuzz runs "
-             "(seeds seed..seed+RUNS-1, plus one sync_replicas=2 run)",
-    )
-    ap.add_argument(
-        "--replication-ops", type=int, default=1200,
-        help="mutations per replication fuzz run",
-    )
+    ap.add_argument("--runs", type=int, default=1, help="seeds seed..seed+N-1")
+    ap.add_argument("--ops", type=int, help="per run (default: the row's)")
     ap.add_argument(
         "--min-deaths", type=int, default=0,
-        help="fail unless the replication runs injected at least this "
-             "many node deaths",
+        help="fail a campaign whose runs injected fewer deaths in total",
     )
     ap.add_argument(
-        "--fleet", type=int, default=0, metavar="RUNS",
-        help="also run RUNS fleet-control-plane fuzz runs "
-             "(live migration + canary rollouts under crash injection)",
-    )
-    ap.add_argument(
-        "--fleet-ops", type=int, default=150,
-        help="event-loop steps per fleet fuzz run",
-    )
-    ap.add_argument(
-        "--min-fleet-deaths", type=int, default=0,
-        help="fail unless the fleet runs injected at least this many "
-             "shard deaths",
-    )
-    ap.add_argument(
-        "--verify", type=int, default=0, metavar="RUNS",
-        help="also run RUNS verification-service worker-kill runs "
-             "(seeds seed..seed+RUNS-1)",
-    )
-    ap.add_argument(
-        "--verify-programs", type=int, default=12,
-        help="programs per verification-service chaos run",
+        "--file-backed", action="store_true",
+        help="durable state on real files (fsync + rename) under a "
+             "temporary directory instead of in memory",
     )
     args = ap.parse_args(argv)
+    diskless = [n for n in args.campaigns if not CAMPAIGNS[n].file_backed]
+    if args.file_backed and diskless:
+        ap.error(f"--file-backed is not supported by: {', '.join(diskless)}")
 
-    failed = False
-    for app in [a for a in args.apps if a != "none"]:
-        digests = {}
-        for engine in args.engines:
-            report = run_campaign(app, args.seed, args.ops, engine)
-            print(report.describe())
-            for idx, msg in report.errors:
-                print(f"  op {idx}: {msg}")
-            digests[engine] = report.digest
-            failed |= not report.ok
-        if len(set(digests.values())) > 1:
-            print(f"  ENGINE DIVERGENCE in {app}: {digests}")
-            failed = True
-
-    total_crashes = 0
-    for i in range(args.recovery):
-        storage = None
-        if args.recovery_dir is not None:
-            from repro.state import DirStorage
-
-            storage = DirStorage(f"{args.recovery_dir}/run{i}")
-        report = run_recovery_campaign(
-            args.seed + i, args.recovery_ops, storage=storage
-        )
-        print(report.describe())
-        for idx, msg in report.errors:
-            print(f"  op {idx}: {msg}")
-        total_crashes += report.crashes
-        failed |= not report.ok
-    if args.recovery:
-        print(f"recovery fuzz: {total_crashes} injected crashes total")
-        if total_crashes < args.min_crashes:
-            print(
-                f"  INSUFFICIENT CRASH COVERAGE: {total_crashes} < "
-                f"{args.min_crashes}"
-            )
-            failed = True
-
-    total_deaths = 0
-    phases_hit: set = set()
-    if args.replication:
-        runs = [
-            (args.seed + i, args.replication_ops, 1)
-            for i in range(args.replication)
+    with tempfile.TemporaryDirectory(prefix="kflex-chaos.") as tmp:
+        root = tmp if args.file_backed else None
+        ok = [
+            run_gate(name, args.seed, args.runs, args.ops, args.min_deaths, root)
+            for name in args.campaigns
         ]
-        # One quorum-2 leg: every follower outage is then a quorum loss.
-        runs.append((args.seed + 99, max(400, args.replication_ops // 2), 2))
-        for run_seed, run_ops, k in runs:
-            report = run_replication_campaign(
-                run_seed, run_ops, sync_replicas=k
-            )
-            print(report.describe())
-            for idx, msg in report.errors:
-                print(f"  op {idx}: {msg}")
-            total_deaths += report.deaths
-            phases_hit |= set(report.sites_crashed)
-            failed |= not report.ok
-        print(f"replication fuzz: {total_deaths} injected deaths total")
-        if total_deaths < args.min_deaths:
-            print(
-                f"  INSUFFICIENT DEATH COVERAGE: {total_deaths} < "
-                f"{args.min_deaths}"
-            )
-            failed = True
-        want_phases = {
-            "ship.send", "replica.append", "replica.flush",
-            "antientropy.install", "antientropy.send", "promote.recover",
-        }
-        missing = want_phases - phases_hit
-        if missing:
-            print(f"  REPLICATION PHASES NOT EXERCISED: {sorted(missing)}")
-            failed = True
-
-    fleet_deaths = 0
-    fleet_sites: set = set()
-    if args.fleet:
-        for i in range(args.fleet):
-            report = run_fleet_campaign(args.seed + i, args.fleet_ops)
-            print(report.describe())
-            for idx, msg in report.errors:
-                print(f"  op {idx}: {msg}")
-            fleet_deaths += report.deaths
-            fleet_sites |= set(report.sites_crashed)
-            failed |= not report.ok
-        print(f"fleet fuzz: {fleet_deaths} injected deaths total")
-        if fleet_deaths < args.min_fleet_deaths:
-            print(
-                f"  INSUFFICIENT FLEET DEATH COVERAGE: {fleet_deaths} < "
-                f"{args.min_fleet_deaths}"
-            )
-            failed = True
-        want = {
-            "migrate.snapshot", "migrate.install", "migrate.tail",
-            "migrate.cutover", "rollout.load", "rollout.window",
-            "rollout.promote", "rollout.rollback",
-        }
-        missing = want - fleet_sites
-        if missing:
-            print(f"  FLEET PHASES NOT EXERCISED: {sorted(missing)}")
-            failed = True
-
-    verify_kills = 0
-    if args.verify:
-        for i in range(args.verify):
-            report = run_verify_campaign(
-                args.seed + i, args.verify_programs
-            )
-            print(report.describe())
-            for idx, msg in report.errors:
-                print(f"  job {idx}: {msg}")
-            verify_kills += report.kills
-            failed |= not report.ok
-        print(f"verify fuzz: {verify_kills} injected worker kills total")
-    return 1 if failed else 0
+    return 0 if all(ok) else 1
 
 
 if __name__ == "__main__":
