@@ -2,7 +2,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: kbench kbench-compare test test-net test-recovery test-replication test-fleet test-verify test-scenarios bench bench-quick bench-load bench-net bench-recovery bench-replication bench-fleet bench-verify bench-scenarios bench-baseline chaos-quick chaos-recovery chaos-replication chaos-fleet chaos-verify chaos-scenarios
+.PHONY: kbench kbench-compare kbench-selftest test test-net test-recovery test-replication test-fleet test-verify test-scenarios bench bench-quick bench-load bench-net bench-recovery bench-replication bench-fleet bench-verify bench-scenarios bench-baseline chaos-quick chaos-recovery chaos-replication chaos-fleet chaos-verify chaos-scenarios
 
 # Tier-1: the fast correctness suite (every test under tests/).
 test:
@@ -156,3 +156,9 @@ kbench:
 #   make kbench-compare A=base.json B=change.json
 kbench-compare:
 	$(PY) -m benchmarks.kbench compare $(A) $(B)
+
+# kbench's own tests (oracle, spec, streams, tracer): not part of
+# tier-1, so run them after touching anything the tracer patches
+# (tests/test_kbench_surface.py pins that surface in tier-1).
+kbench-selftest:
+	$(PY) -m pytest benchmarks/kbench/tests -q

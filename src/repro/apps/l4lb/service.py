@@ -140,18 +140,18 @@ class L4LBService(PacketService):
 
     # -- verdict dispatch ---------------------------------------------------
 
-    def _serve_sync(self, payload: bytes, cpu: int):
+    def _serve_sync(self, payload: bytes, cpu: int, batched: bool = False):
         ext = self.ext
         if ext.dead and not self.runtime.supervisor.try_readmit(ext):
             return None, "pass"
-        verdict = ext.invoke(ext.xdp_ctx(payload, cpu), cpu=cpu)
+        verdict, read = ext.run_packet(payload, cpu, batched)
         if ext.dead:
             return None, "pass"
         if verdict != XDP_TX:
             if len(payload) < HDR_SIZE or payload[0] != MAGIC:
                 self.garbage_drops += 1
             return None, "drop"
-        pkt = self.runtime.kernel.net.read_packet(cpu, len(payload))
+        pkt = read(len(payload))
         bid = int.from_bytes(pkt[BACKEND_OFF:BACKEND_OFF + 2], "little")
         backend = self.backends.get(bid)
         if backend is None:

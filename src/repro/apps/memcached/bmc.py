@@ -100,8 +100,7 @@ class BmcCache:
 
     def probe(self, pkt: bytes, cpu: int = 0) -> int:
         """Run the extension on one packet; returns the XDP verdict."""
-        ctx = self.ext.xdp_ctx(pkt, cpu)
-        verdict = self.ext.invoke(ctx, cpu=cpu)
+        verdict, _ = self.ext.run_packet(pkt, cpu)
         if pkt[0] == P.OP_GET:
             if verdict == XDP_TX:
                 self.hits += 1
@@ -110,10 +109,7 @@ class BmcCache:
         return verdict
 
     def read_reply(self, cpu: int = 0) -> bytes:
-        net = self.runtime.kernel.net
-        return self.runtime.kernel.aspace.read_bytes(
-            net._pkt_slots[cpu], P.PKT_SIZE
-        )
+        return self.runtime.kernel.net.read_packet(cpu, P.PKT_SIZE)
 
     def fill_from_response(self, key_id: int, value_id: int) -> bool:
         """The user-space response path refreshes the cache (BMC §3)."""

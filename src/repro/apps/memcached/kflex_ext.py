@@ -197,11 +197,8 @@ class KFlexMemcached:
     # -- request plumbing ---------------------------------------------------
 
     def _roundtrip(self, pkt: bytes, cpu: int = 0) -> bytes:
-        ctx = self.ext.xdp_ctx(pkt, cpu)
-        verdict = self.ext.invoke(ctx, cpu=cpu)
-        reply = self.runtime.kernel.net.read_packet(cpu, P.PKT_SIZE)
-        self.last_verdict = verdict
-        return reply
+        self.last_verdict, read = self.ext.run_packet(pkt, cpu)
+        return read(P.PKT_SIZE)
 
     def handle(self, pkt: bytes, cpu: int = 0) -> bytes:
         """Serve one wire packet, returning the reply bytes.

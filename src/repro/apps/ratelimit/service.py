@@ -67,20 +67,19 @@ class RateLimitedService(PacketService):
         """Total drops attributed to a set of source ids."""
         return sum(self.source_drops.get(s, 0) for s in sources)
 
-    def _serve_sync(self, payload: bytes, cpu: int):
+    def _serve_sync(self, payload: bytes, cpu: int, batched: bool = False):
         ext = self.ext
         if ext.dead and not self.runtime.supervisor.try_readmit(ext):
             # Shedder quarantined: fail open.  An unprotected service
             # beats a dead datapath — the inner admission layer still
             # bounds the damage.
             return self.inner.ingress(payload[HDR_SIZE:], cpu)
-        verdict = ext.invoke(ext.xdp_ctx(payload, cpu), cpu=cpu)
+        verdict, read = ext.run_packet(payload, cpu, batched)
         if ext.dead:
             return self.inner.ingress(payload[HDR_SIZE:], cpu)
         if verdict == XDP_TX:
             self.syn_acks += 1
-            reply = self.runtime.kernel.net.read_packet(cpu, len(payload))
-            return reply, "kernel"
+            return read(len(payload)), "kernel"
         if verdict == XDP_PASS:
             return self.inner.ingress(payload[HDR_SIZE:], cpu)
         self._note_drop(payload)

@@ -260,9 +260,8 @@ class KFlexRedis:
             )
 
     def _roundtrip(self, pkt: bytes, cpu: int = 0) -> bytes:
-        ctx = self.ext.sk_skb_ctx(pkt, cpu)
-        self.ext.invoke(ctx, cpu=cpu)
-        return self.runtime.kernel.net.read_packet(cpu, P.PKT_SIZE)
+        _, read = self.ext.run_packet(pkt, cpu)
+        return read(P.PKT_SIZE)
 
     def get(self, key_id: int, cpu: int = 0):
         return P.decode_reply(self._roundtrip(P.encode_get(key_id), cpu))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.errors import LoadError, KernelPanic
 from repro.ebpf.helpers import (
@@ -33,6 +34,7 @@ from repro.ebpf.helpers import (
 )
 from repro.ebpf.engine import default_engine
 from repro.ebpf.interpreter import ExecEnv
+from repro.ebpf.isa import U64
 from repro.ebpf.pipeline import CompilationPipeline, LoweredProgram
 from repro.ebpf.program import Program, HOOKS
 from repro.ebpf.verifier import VerifierConfig
@@ -49,8 +51,6 @@ from repro.state.pins import PinRegistry
 CTX_REGION_BASE = 0xFFFF_88A0_0000_0000
 CTX_SLOT_SIZE = 256
 
-#: Cached little-endian u64 packers for make_ctx, by field count.
-_CTX_PACKERS: dict[int, struct.Struct] = {}
 
 
 @dataclass
@@ -117,9 +117,14 @@ class LoadedExtension:
         #: Per-CPU pooled :class:`~repro.ebpf.pipeline.TranslatedProgram`
         #: artifacts — translated once, reused across invocations.
         self._engines: dict[int, object] = {}
-        #: Per-CPU cached batch invoker closures keyed on the pooled
-        #: engine identity (dropped whenever the engine is retranslated).
-        self._batch_cache: dict[int, tuple] = {}
+        #: cpu -> (lowered insns, invocation closure); :meth:`_invoker`.
+        self._invokers: dict[int, tuple] = {}
+        #: cpu -> (lowered insns, stage, write_ctx, invoke, read): the
+        #: batched entry of :meth:`run_packet`.
+        self._batch_paths: dict[int, tuple] = {}
+        #: Hook-specific ctx fields after data/data_end (sk_skb: the
+        #: socket cookie).
+        self._ctx_extra = (0,) if program.hook == "sk_skb" else ()
         self._wd_callback = None
         #: ExecResult of the most recent run (parity/diagnostic surface).
         self.last_result = None
@@ -181,24 +186,11 @@ class LoadedExtension:
             self._envs[cpu] = env
         return env
 
-    def _engine(self, cpu: int):
-        """Pooled per-CPU engine: translate once, reuse per invocation."""
-        tp = self._engines.get(cpu)
-        if tp is None or tp.engine.insns is not self.jprog.insns:
-            # First use, or the program was re-instrumented/lowered
-            # since translation (jprog swapped out underneath us).
-            tp = self.runtime.pipeline.translate(
-                self.lowered, self.engine, self._env(cpu), cpu
-            )
-            self._engines[cpu] = tp
-        else:
-            self.runtime.pipeline.stats.pool_hits += 1
-        return tp.engine
-
     def invalidate_engines(self) -> None:
         """Drop pooled engines (call after re-instrumentation)."""
         self._engines.clear()
-        self._batch_cache.clear()
+        self._invokers.clear()
+        self._batch_paths.clear()
 
     # -- execution ----------------------------------------------------------
 
@@ -210,36 +202,87 @@ class LoadedExtension:
             # the supervision layer).  Other dead states stay dead.
             if not self.runtime.supervisor.try_readmit(self):
                 return self.program.default_ret
-        env = self._env(cpu)
-        if self.allocator is not None and audit_enabled():
-            self.allocator.begin_invocation(cpu)
-        if self.heap is not None and self.quantum_units is not None:
-            wd = self.kernel.watchdog
-            wd.quantum_units = self.quantum_units
+        return self._invoker(cpu)(ctx_addr)
+
+    def batch_invoker(self, cpu: int = 0):
+        """``run(ctx_addr) -> ret`` for one ingress batch: the closure
+        :meth:`invoke` calls, without the per-call dead/readmit check.
+        Callers check ``dead`` first and stop using it the moment
+        ``dead`` flips (a mid-batch quarantine)."""
+        if self.dead:
+            raise KernelPanic("batch_invoker on a dead extension")
+        return self._invoker(cpu)
+
+    def _invoker(self, cpu: int):
+        """The invocation core of one CPU: engine run, cost accounting,
+        cancellation.
+
+        The engine is translated once per CPU and pooled; everything
+        else constant across invocations — watchdog callback, pkey set,
+        the stat counters — is bound with it into one closure.  Every
+        per-invocation check stays inside the closure: allocation-audit
+        epoch, watchdog quantum, pkey load and clear, the cancellation
+        path with supervisor escalation.
+        """
+        cached = self._invokers.get(cpu)
+        if cached is not None and cached[0] is self.jprog.insns:
+            self.runtime.pipeline.stats.pool_hits += 1
+            return cached[1]
+        # First use, or the program was re-instrumented/lowered since
+        # translation (jprog swapped out underneath us).
+        tp = self._engines[cpu] = self.runtime.pipeline.translate(
+            self.lowered, self.engine, self._env(cpu), cpu
+        )
+        allocator = self.allocator
+        wd = self.kernel.watchdog
+        quantum = self.quantum_units if self.heap is not None else None
+        if quantum is not None:
             if self._wd_callback is None:
                 # The callback reads quantum/armed state at fire time,
                 # so one closure serves every invocation.
                 self._wd_callback = wd.make_callback(self.heap, self.kernel.aspace)
-            env.watchdog = self._wd_callback
+            self._env(cpu).watchdog = self._wd_callback
         aspace = self.kernel.aspace
-        if self.heap is not None and self.heap.pkey is not None:
-            # Striped heap (§6): load this extension's protection key.
-            aspace.active_pkeys = {self.heap.pkey}
-        try:
-            result = self._engine(cpu).run(ctx_addr)
-        finally:
-            # Also on a KernelPanic out of the engine: the key must not
-            # stay loaded for whoever touches the address space next.
-            aspace.active_pkeys = None
-        self.last_result = result
-        cost = result.cost + self.jprog.prologue_cost
-        self.stats.invocations += 1
-        self.stats.total_cost_units += cost
-        self.stats.last_cost_units = cost
-        self.kernel.advance_units(cost)
-        if result.ok:
-            return result.ret
-        return self._cancel(result, cpu)
+        # Striped heap (§6): this extension's protection key.
+        pkeys = (
+            {self.heap.pkey}
+            if self.heap is not None and self.heap.pkey is not None
+            else None
+        )
+        engine_run = tp.engine.run
+        stats = self.stats
+        kernel = self.kernel
+        prologue_cost = self.jprog.prologue_cost
+
+        def run(ctx_addr: int) -> int:
+            if allocator is not None and audit_enabled():
+                allocator.begin_invocation(cpu)
+            if quantum is not None:
+                # A shared kernel attribute another extension may have
+                # retargeted since this one last ran.
+                wd.quantum_units = quantum
+            if pkeys is not None:
+                aspace.active_pkeys = pkeys
+            try:
+                result = engine_run(ctx_addr)
+            finally:
+                # Also on a KernelPanic out of the engine: the key must
+                # not stay loaded for whoever touches the address space
+                # next.
+                if pkeys is not None:
+                    aspace.active_pkeys = None
+            self.last_result = result
+            cost = result.cost + prologue_cost
+            stats.invocations += 1
+            stats.total_cost_units += cost
+            stats.last_cost_units = cost
+            kernel.advance_units(cost)
+            if result.ok:
+                return result.ret
+            return self._cancel(result, cpu)
+
+        self._invokers[cpu] = (self.jprog.insns, run)
+        return run
 
     def _cancel(self, result, cpu: int) -> int:
         """The cancellation path (§3.3): unwind and return the default."""
@@ -328,108 +371,47 @@ class LoadedExtension:
         if self._reattach_on_revive:
             self.kernel.hooks.attach(self)
 
-    # -- context staging ---------------------------------------------------
+    # -- the packet path ---------------------------------------------------
 
-    def xdp_ctx(self, payload: bytes, cpu: int = 0) -> int:
-        """Stage a packet and build an xdp_md context; returns ctx addr."""
+    def xdp_ctx(self, payload: bytes, cpu: int = 0, *extra: int) -> int:
+        """Stage a packet and build its hook context — ``data``,
+        ``data_end``, then any hook-specific fields; returns ctx addr."""
         data, data_end = self.kernel.net.stage_packet(cpu, payload)
-        return self.runtime.make_ctx(cpu, [data, data_end])
+        return self.runtime.make_ctx(cpu, [data, data_end, *extra])
 
-    def sk_skb_ctx(self, payload: bytes, cpu: int = 0, sk_cookie: int = 0) -> int:
-        data, data_end = self.kernel.net.stage_packet(cpu, payload)
-        return self.runtime.make_ctx(cpu, [data, data_end, sk_cookie])
+    def run_packet(self, payload: bytes, cpu: int = 0, batched: bool = False):
+        """The packet round trip of the ``xdp`` and ``sk_skb`` hooks:
+        stage → ctx → invoke.  Returns ``(verdict, read)``;
+        ``read(size)`` reads the staging slot back (the reply a TX
+        extension wrote in place) and must be called before the next
+        packet is staged on this CPU.
 
-    # -- batched invocation (batched zero-copy ingress) --------------------
-
-    def batch_invoker(self, cpu: int = 0):
-        """Amortized invocation closure for one ingress batch.
-
-        Hoists everything :meth:`invoke` repeats per call — pooled
-        engine lookup, watchdog arming, pkey selection, attribute
-        chasing for the stat counters — and returns
-        ``run(ctx_addr) -> ret`` doing only the per-packet core: engine
-        run, cost accounting, cancellation.  Per-packet semantics are
-        identical to :meth:`invoke` (the cancellation path, supervisor
-        escalation and allocation auditing all still run per
-        invocation).  The closure is valid for one batch: callers must
-        create it after checking ``dead`` and stop using it the moment
-        ``dead`` flips (a mid-batch quarantine).
+        ``batched`` names the entry, not another implementation: a
+        batch enters through the per-CPU closures the factories hand
+        out (bound on first use, re-bound whenever the program is
+        re-lowered), a lone packet through the per-packet methods,
+        which call those same closures — an external tracer tells the
+        two sets of names apart.  Callers of the batched entry check
+        ``dead`` first, as for :meth:`batch_invoker`.
         """
-        if self.dead:
-            raise KernelPanic("batch_invoker on a dead extension")
-        env = self._env(cpu)
-        allocator = self.allocator if audit_enabled() else None
-        if self.heap is not None and self.quantum_units is not None:
-            wd = self.kernel.watchdog
-            wd.quantum_units = self.quantum_units
-            if self._wd_callback is None:
-                self._wd_callback = wd.make_callback(self.heap, self.kernel.aspace)
-            env.watchdog = self._wd_callback
-        aspace = self.kernel.aspace
-        pkeys = (
-            {self.heap.pkey}
-            if self.heap is not None and self.heap.pkey is not None
-            else None
-        )
-        engine_run = self._engine(cpu).run
-        stats = self.stats
-        kernel = self.kernel
-        prologue_cost = self.jprog.prologue_cost
-
-        def run(ctx_addr: int) -> int:
-            if allocator is not None:
-                allocator.begin_invocation(cpu)
-            if pkeys is not None:
-                aspace.active_pkeys = pkeys
-            try:
-                result = engine_run(ctx_addr)
-            finally:
-                if pkeys is not None:
-                    aspace.active_pkeys = None
-            self.last_result = result
-            cost = result.cost + prologue_cost
-            stats.invocations += 1
-            stats.total_cost_units += cost
-            stats.last_cost_units = cost
-            kernel.advance_units(cost)
-            if result.ok:
-                return result.ret
-            return self._cancel(result, cpu)
-
-        return run
-
-    def xdp_batch_invoker(self, cpu: int = 0):
-        """Batched XDP entry: ``run(payload) -> verdict``.
-
-        Composes the amortized packet stager (slot bound once, payload
-        bytes written straight into the staging backing), the amortized
-        ctx writer (slot reused, only data/data_end rewritten per
-        packet) and :meth:`batch_invoker`.  The staging slot is shared
-        across the batch, so a caller wanting an ``XDP_TX`` reply must
-        read it back before staging the next packet.
-        """
-        if self.dead:
-            raise KernelPanic("batch_invoker on a dead extension")
-        engine = self._engine(cpu)
-        audit = audit_enabled()
-        cached = self._batch_cache.get(cpu)
-        if cached is not None and cached[0] is engine and cached[1] == audit:
-            # Hot path: closures survive across batches; only the
-            # watchdog quantum needs re-arming (it is a shared kernel
-            # attribute another extension may have retargeted).
-            if self.heap is not None and self.quantum_units is not None:
-                self.kernel.watchdog.quantum_units = self.quantum_units
-            return cached[2]
-        stage = self.kernel.net.packet_stager(cpu)
-        write_ctx = self.runtime.ctx_writer(cpu, 2)
-        invoke_one = self.batch_invoker(cpu)
-
-        def run(payload: bytes) -> int:
-            data, data_end = stage(payload)
-            return invoke_one(write_ctx(data, data_end))
-
-        self._batch_cache[cpu] = (engine, audit, run)
-        return run
+        if not batched:
+            ctx = self.xdp_ctx(payload, cpu, *self._ctx_extra)
+            return self.invoke(ctx, cpu), partial(self.kernel.net.read_packet, cpu)
+        path = self._batch_paths.get(cpu)
+        if path is None or path[0] is not self.jprog.insns:
+            net = self.kernel.net
+            extra = self._ctx_extra
+            write = self.runtime.ctx_writer(cpu, 2 + len(extra))
+            path = self._batch_paths[cpu] = (
+                self.jprog.insns,
+                net.packet_stager(cpu),
+                (lambda data, end: write(data, end, *extra)) if extra else write,
+                self.batch_invoker(cpu),
+                net.packet_reader(cpu),
+            )
+        _, stage, write_ctx, invoke, read = path
+        data, data_end = stage(payload)
+        return invoke(write_ctx(data, data_end)), read
 
 
 def _copy_from_user(kernel, heap, dst: int, size: int, user_src: int) -> int:
@@ -466,7 +448,6 @@ class KFlexRuntime:
         *,
         engine: str | None = None,
         supervisor_policy=None,
-        fuse=None,
         verify_service=None,
     ):
         self.kernel = kernel or Kernel()
@@ -476,8 +457,8 @@ class KFlexRuntime:
         self.heaps: dict[int, ExtensionHeap] = {}  # fd -> heap
         self.allocators: dict[int, KflexAllocator] = {}
         self.lock_managers: dict[int, LockManager] = {}
-        #: cpu -> (ctx base addr, ctx backing bytearray)
-        self._ctx_slots: dict[int, tuple[int, bytearray]] = {}
+        #: (cpu, field count) -> ``write(*fields) -> ctx_addr``
+        self._ctx_packers: dict[tuple[int, int], object] = {}
         self.extensions: list[LoadedExtension] = []
         #: Fault injector threaded through engines/helpers/allocator/
         #: locks/watchdog; installed by :meth:`install_injector`.
@@ -495,14 +476,11 @@ class KFlexRuntime:
         #: translate) with its content-addressed program cache and
         #: per-stage statistics.  One per runtime: cache keys embed
         #: concrete heap/map addresses, which are only unique within
-        #: one kernel address space.  ``fuse`` overrides the
-        #: superinstruction config (False disables, a FuseConfig tunes).
+        #: one kernel address space.
         #: ``verify_service`` routes the verify stage through a
         #: :class:`repro.verify.VerificationService` (queue + workers +
         #: differential memo); None keeps the serial in-process path.
-        self.pipeline = CompilationPipeline(
-            fuse=fuse, verify_service=verify_service
-        )
+        self.pipeline = CompilationPipeline(verify_service=verify_service)
 
     # -- fault injection ------------------------------------------------------
 
@@ -755,51 +733,37 @@ class KFlexRuntime:
 
     def make_ctx(self, cpu: int, fields: list[int]) -> int:
         """Write a flat 8-byte-per-field context into the CPU's ctx slot."""
-        slot = self._ctx_slots.get(cpu)
-        if slot is None:
-            base = CTX_REGION_BASE + cpu * CTX_SLOT_SIZE
-            region = self.kernel.aspace.map_region(
-                base, CTX_SLOT_SIZE, f"kernel:ctx{cpu}"
-            )
-            # The slot is kernel-staged (fully populated, trusted
-            # writer): cache the backing and skip the paged path on the
-            # per-invocation hot path.
-            slot = (base, region.backing.data)
-            self._ctx_slots[cpu] = slot
-        base, data = slot
-        packer = _CTX_PACKERS.get(len(fields))
-        if packer is None:
-            packer = _CTX_PACKERS[len(fields)] = struct.Struct(f"<{len(fields)}Q")
-        try:
-            blob = packer.pack(*fields)
-        except struct.error:  # out-of-range value: mask like write_int did
-            mask = (1 << 64) - 1
-            blob = packer.pack(*((v & mask) for v in fields))
-        data[0 : len(blob)] = blob
-        return base
+        n = len(fields)
+        return (self._ctx_packers.get((cpu, n)) or self._ctx_packer(cpu, n))(*fields)
 
     def ctx_writer(self, cpu: int, n_fields: int):
-        """Amortized :meth:`make_ctx` for batched ingress.
+        """``write(*fields) -> ctx_addr`` bound to the CPU's ctx slot:
+        per packet only the field u64s are rewritten in place (for an
+        xdp_md that is data/data_end — the slot address and layout
+        never change)."""
+        return self._ctx_packer(cpu, n_fields)
 
-        Resolves the CPU's ctx slot and the field packer once and
-        returns ``write(*fields) -> ctx_addr``: per packet only the
-        field u64s themselves are rewritten in place (for an xdp_md
-        that is data/data_end — the slot address and layout never
-        change across a batch).  Callers pass in-range values; the
-        staged fields come from the kernel's own staging slots.
-        """
-        slot = self._ctx_slots.get(cpu)
-        if slot is None:
-            self.make_ctx(cpu, [0] * n_fields)  # map + cache the slot
-            slot = self._ctx_slots[cpu]
-        base, data = slot
-        packer = _CTX_PACKERS.get(n_fields)
-        if packer is None:
-            packer = _CTX_PACKERS[n_fields] = struct.Struct(f"<{n_fields}Q")
-        pack_into = packer.pack_into
+    def _ctx_packer(self, cpu: int, n_fields: int):
+        """The one ctx packer per (CPU, field count), built once."""
+        write = self._ctx_packers.get((cpu, n_fields))
+        if write is not None:
+            return write
+        aspace = self.kernel.aspace
+        base = CTX_REGION_BASE + cpu * CTX_SLOT_SIZE
+        # The slot is kernel-staged (fully populated, trusted writer):
+        # keep the backing and skip the paged path per invocation.
+        data = (
+            aspace.find_region(base)
+            or aspace.map_region(base, CTX_SLOT_SIZE, f"kernel:ctx{cpu}")
+        ).backing.data
+        pack_into = struct.Struct(f"<{n_fields}Q").pack_into
 
         def write(*fields) -> int:
-            pack_into(data, 0, *fields)
+            try:
+                pack_into(data, 0, *fields)
+            except struct.error:  # out-of-range value: mask like write_int did
+                pack_into(data, 0, *(v & U64 for v in fields))
             return base
 
+        self._ctx_packers[(cpu, n_fields)] = write
         return write

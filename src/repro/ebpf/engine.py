@@ -111,10 +111,6 @@ class ThreadedEngine:
     region-handle cache and the register file are all pooled.
     """
 
-    #: Advertises that the constructor takes a ``plan=`` of fused
-    #: superinstruction blocks (see repro.ebpf.pipeline.FusePass).
-    supports_fusion = True
-
     def __init__(
         self,
         insns,
@@ -199,32 +195,16 @@ class ThreadedEngine:
         next_wd = wd_period if watchdog is not None else limit + 1
         checkpoint = next_wd if next_wd < limit else limit
 
+        weights = self._weights
+        fused = self._fused
+        bcosts = self._bcosts
         self._running = True
         try:
-            if not self._has_fused:
-                while True:
-                    if steps >= checkpoint:
-                        # Order matters for parity: off-the-end panic
-                        # first, then the stall limit, then the
-                        # watchdog — same as the interpreter.
-                        if pc == n:
-                            handlers[n](regs)
-                        if steps >= limit:
-                            return self._fault(
-                                regs, pc, cost + xc[0], steps, stack, "stall",
-                                message="hard step limit (hardlockup)",
-                            )
-                        watchdog(cost + xc[0])
-                        next_wd = steps + wd_period
-                        checkpoint = next_wd if next_wd < limit else limit
-                    steps += 1
-                    cost += costs[pc]
-                    pc = handlers[pc](regs)
-            weights = self._weights
-            fused = self._fused
-            bcosts = self._bcosts
             while True:
                 if steps >= checkpoint:
+                    # Order matters for parity: off-the-end panic
+                    # first, then the stall limit, then the watchdog —
+                    # same as the interpreter.
                     if pc == n:
                         handlers[n](regs)
                     if steps >= limit:
@@ -438,7 +418,6 @@ class ThreadedEngine:
         self._weights = [1] * len(self.handlers)
         self._fused = list(self.handlers)
         self._bcosts = list(self._costs)
-        self._has_fused = False
         self.fused_blocks = 0
         for start, length, kind in self.plan:
             if length < 2 or start < 0 or start + length > n:
@@ -452,7 +431,6 @@ class ThreadedEngine:
             self._weights[start] = length
             self._fused[start] = fh
             self._bcosts[start] = sum(self.costs[start : start + length])
-            self._has_fused = True
             self.fused_blocks += 1
 
     def _fuse_chain(self, start: int, length: int):
@@ -1210,16 +1188,16 @@ def make_engine(name: str, insns, env, *, costs=None, helper_costs=None,
     """Construct the named engine over a lowered instruction list.
 
     ``plan`` is a superinstruction fusion plan (see
-    :class:`repro.ebpf.pipeline.FusePass`); engines that don't
-    advertise ``supports_fusion`` — the reference interpreter — simply
-    ignore it and stay the unfused semantics oracle.
+    :class:`repro.ebpf.pipeline.FusePass`) for the threaded engine; the
+    reference interpreter takes none and stays the unfused semantics
+    oracle.
     """
     cls = ENGINES.get(name)
     if cls is None:
         raise LoadError(
             f"unknown execution engine {name!r} (have: {sorted(ENGINES)})"
         )
-    if plan and getattr(cls, "supports_fusion", False):
+    if cls is ThreadedEngine:
         return cls(insns, env, costs=costs, helper_costs=helper_costs,
                    plan=plan)
     return cls(insns, env, costs=costs, helper_costs=helper_costs)

@@ -181,32 +181,6 @@ class LoweredProgram:
         return self.instrumented.source.analysis
 
 
-@dataclass(frozen=True)
-class FuseConfig:
-    """Superinstruction-fusion knobs.  Every field is folded into the
-    fuse stage's cache key (see :func:`fuse_config_key`), so fused and
-    unfused artifacts can never collide in the :class:`ProgramCache`."""
-
-    #: Master switch; ``False`` produces an empty plan (the escape
-    #: hatch behind ``kflexctl --no-fuse`` / ``KFlexRuntime(fuse=False)``).
-    enabled: bool = True
-    #: Longest run of instructions collapsed into one fused closure.
-    max_len: int = 8
-    #: Also fuse the LDX -> GUARD -> STX heap read-modify-write idiom
-    #: (deoptimizes to single-step execution on any fast-path miss).
-    mem_idioms: bool = True
-
-
-def fuse_config_key(config: FuseConfig | None) -> tuple:
-    """Field-by-field key, same convention as :func:`config_key`: a new
-    fusion knob automatically becomes part of the cache key."""
-    if config is None:
-        return ("nofuse",)
-    return tuple(
-        (f.name, getattr(config, f.name)) for f in dataclass_fields(config)
-    )
-
-
 def _fusible_member(insn, has_heap: bool) -> bool:
     """True for straight-line instructions that can never raise: safe
     to execute mid-superinstruction, where a fault could not be
@@ -246,7 +220,7 @@ def _fusible_terminal(insn) -> bool:
     return op == isa.BPF_JA or op in JMP_TESTS
 
 
-def compute_fuse_plan(insns, config: FuseConfig, *, has_heap: bool) -> tuple:
+def compute_fuse_plan(insns, *, has_heap: bool, max_len: int = 8) -> tuple:
     """Scan a lowered instruction list for fusible runs.
 
     Returns an immutable plan: ``((start, length, kind), ...)`` with
@@ -261,16 +235,17 @@ def compute_fuse_plan(insns, config: FuseConfig, *, has_heap: bool) -> tuple:
 
     Jumping *into* the middle of a block is always legal: the engine
     keeps the unfused handler at every index, so a mid-block entry
-    simply executes single-stepped.
+    simply executes single-stepped.  ``max_len`` — the longest run
+    collapsed into one closure — is an argument for the parity sweep
+    (every block shape must execute to the interpreter's result);
+    nothing above the pass sets it.
     """
-    if not config.enabled:
-        return ()
     plan = []
     n = len(insns)
-    max_len = max(2, config.max_len)
+    max_len = max(2, max_len)
     i = 0
     while i < n:
-        if config.mem_idioms and has_heap and i + 2 < n:
+        if has_heap and i + 2 < n:
             ldx, g, stx = insns[i], insns[i + 1], insns[i + 2]
             if (
                 (ldx.opcode & isa.CLASS_MASK) == isa.BPF_LDX
@@ -308,13 +283,12 @@ def compute_fuse_plan(insns, config: FuseConfig, *, has_heap: bool) -> tuple:
 class FusedProgram:
     """Stage 3.5 output: the lowered program plus a superinstruction
     plan.  Proxies the :class:`LoweredProgram` surface so downstream
-    consumers (the runtime, tools, tests) are agnostic to whether the
-    fuse stage ran."""
+    consumers (the runtime, tools, tests) need not know about the
+    fuse stage."""
 
     lowered: LoweredProgram
     #: ``((start, length, kind), ...)`` — see :func:`compute_fuse_plan`.
     plan: tuple
-    fuse_config: FuseConfig
 
     @property
     def jprog(self) -> jit.JitProgram:
@@ -582,32 +556,25 @@ class FusePass(Pass):
     The pass computes a *plan* over instruction indices; the engine
     composes its own per-instruction closures accordingly at translate
     time, charging exactly the same per-instruction steps and costs, so
-    ``ExecResult`` is bit-identical with the pass on or off.  The plan
-    depends on the placement-keyed bytecode and every
-    :class:`FuseConfig` field, so fused and unfused artifacts occupy
-    distinct :class:`ProgramCache` keys.
+    ``ExecResult`` is bit-identical to the reference interpreter's.
+    The plan depends only on the placement-keyed bytecode.
     """
 
     name = "fuse"
 
-    def __init__(self, config: FuseConfig | None = None):
-        self.config = config if config is not None else FuseConfig()
-
     def cache_key(self, art: LoweredProgram) -> tuple:
-        return art.raw.placement_key() + (fuse_config_key(self.config),)
+        return art.raw.placement_key()
 
     def run(self, art: LoweredProgram) -> FusedProgram:
-        plan = compute_fuse_plan(
-            art.jprog.insns, self.config,
-            has_heap=art.raw.heap is not None,
-        )
-        return FusedProgram(art, plan, self.config)
+        return FusedProgram(art, compute_fuse_plan(
+            art.jprog.insns, has_heap=art.raw.heap is not None
+        ))
 
     def payload(self, out: FusedProgram):
         return out.plan
 
     def rebuild(self, art: LoweredProgram, payload) -> FusedProgram:
-        return FusedProgram(art, payload, self.config)
+        return FusedProgram(art, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -735,15 +702,9 @@ class CompilationPipeline:
 
     def __init__(self, *, cache: ProgramCache | None = None,
                  passes: PassManager | None = None,
-                 fuse: FuseConfig | bool | None = None,
                  verify_service=None):
         self.cache = cache if cache is not None else ProgramCache()
         self.passes = passes if passes is not None else PassManager()
-        if fuse is not None:
-            cfg = fuse if isinstance(fuse, FuseConfig) else FuseConfig(
-                enabled=bool(fuse)
-            )
-            self.passes.replace("fuse", FusePass(cfg))
         self.verify_service = verify_service
         if verify_service is not None:
             self.passes.replace("verify", VerifyPass(verify_service))

@@ -144,6 +144,15 @@ class FrameError(ReproError, ValueError):
     """
 
 
+class OversizePacket(KernelPanic, FrameError):
+    """A payload larger than the per-CPU packet staging slot.
+
+    Off the wire it is a bad frame — services catch :class:`FrameError`,
+    count it and drop it — while in-kernel code that staged a packet it
+    built itself still sees the :class:`KernelPanic` it always did.
+    """
+
+
 class MapFull(ReproError):
     """An eBPF map reached max_entries (BMC's preallocated cache)."""
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from repro.errors import KernelPanic
+from repro.errors import KernelPanic, OversizePacket
 from repro.kernel.addrspace import AddressSpace
 
 #: Where socket objects live in the kernel address space.
@@ -60,6 +60,7 @@ class NetStack:
     _by_tuple: dict[bytes, Socket] = field(default_factory=dict)
     _next_sock: int = SOCK_REGION_BASE
     _pkt_slots: dict[int, int] = field(default_factory=dict)  # cpu -> base
+    _slot_ios: dict[int, tuple] = field(default_factory=dict)  # cpu -> (stage, read)
 
     def __post_init__(self):
         # One region backs all socket objects; extensions may read
@@ -104,58 +105,57 @@ class NetStack:
             self._pkt_slots[cpu] = base
         return base
 
-    def stage_packet(self, cpu: int, payload: bytes) -> tuple[int, int]:
-        """Copy a packet into the CPU's staging buffer.
+    def _slot_io(self, cpu: int) -> tuple:
+        """The CPU's one slot writer and one slot reader, built once.
 
-        Returns (data, data_end) addresses for the hook context.
+        Slot mapping, dict lookup and address translation happen here
+        instead of per packet: both closures work straight on the
+        slot's backing (the region is kernel-staged and fully
+        populated, the same trusted-writer shortcut the ctx slot
+        takes).  The slot is reused packet after packet, so an in-place
+        reply must be read back before the next payload is staged.
         """
-        if len(payload) > PKT_SLOT_SIZE:
-            raise KernelPanic("packet larger than staging slot")
-        base = self._slot(cpu)
-        self.aspace.write_bytes(base, payload)
-        return base, base + len(payload)
+        io = self._slot_ios.get(cpu)
+        if io is None:
+            base = self._slot(cpu)
+            data, off = self.aspace.region_backing(base)
+
+            def stage(payload: bytes) -> tuple[int, int]:
+                n = len(payload)
+                if n > PKT_SLOT_SIZE:
+                    raise OversizePacket(
+                        f"{n}-byte packet larger than staging slot"
+                    )
+                data[off : off + n] = payload
+                return base, base + n
+
+            def read(size: int) -> bytes:
+                return bytes(data[off : off + min(size, PKT_SLOT_SIZE)])
+
+            io = self._slot_ios[cpu] = (stage, read)
+        return io
 
     def packet_stager(self, cpu: int):
-        """Amortized :meth:`stage_packet` for batched ingress.
-
-        Binds the CPU's slot once — region mapping, dict lookup and
-        address translation all happen here instead of per packet — and
-        returns a closure writing each payload straight into the slot's
-        backing (the region is kernel-staged and fully populated, the
-        same trusted-writer shortcut ``make_ctx`` takes).  The slot is
-        reused across the batch: each packet overwrites the last, so
-        callers must consume any in-place reply before staging the next.
-        """
-        base = self._slot(cpu)
-        data, off = self.aspace.region_backing(base)
-        slot_size = PKT_SLOT_SIZE
-
-        def stage(payload: bytes) -> tuple[int, int]:
-            n = len(payload)
-            if n > slot_size:
-                raise KernelPanic("packet larger than staging slot")
-            data[off : off + n] = payload
-            return base, base + n
-
-        return stage
+        """``stage(payload) -> (data, data_end)`` bound to the CPU's
+        slot: the addresses are what the hook context carries."""
+        return self._slot_io(cpu)[0]
 
     def packet_reader(self, cpu: int):
-        """Amortized :meth:`read_packet` twin of :meth:`packet_stager`."""
-        base = self._slot(cpu)
-        data, off = self.aspace.region_backing(base)
+        """``read(size) -> bytes`` bound to the CPU's slot (e.g. the
+        reply an XDP_TX extension wrote in place)."""
+        return self._slot_io(cpu)[1]
 
-        def read(size: int) -> bytes:
-            return bytes(data[off : off + min(size, PKT_SLOT_SIZE)])
-
-        return read
+    def stage_packet(self, cpu: int, payload: bytes) -> tuple[int, int]:
+        """Copy one packet into the CPU's staging slot."""
+        return self._slot_io(cpu)[0](payload)
 
     def read_packet(self, cpu: int, size: int) -> bytes:
-        """Read back the CPU's staged packet (e.g. the reply an XDP_TX
-        extension wrote in place).  The slot must have been staged."""
-        base = self._pkt_slots.get(cpu)
-        if base is None:
+        """Read back the CPU's staged packet.  The slot must have been
+        staged."""
+        io = self._slot_ios.get(cpu)
+        if io is None:
             raise KernelPanic(f"no packet staged on cpu {cpu}")
-        return self.aspace.read_bytes(base, min(size, PKT_SLOT_SIZE))
+        return io[1](size)
 
     # -- receive path (XDP_PASS) ------------------------------------------
 
@@ -181,12 +181,7 @@ class NetStack:
         # region at a fixed skb offset so delivery never grows state).
         if len(payload) > PKT_SLOT_SIZE // 2:
             raise KernelPanic("packet larger than skb slot")
-        base = self._pkt_slots.get(cpu)
-        if base is None:
-            base = PKT_REGION_BASE + cpu * PKT_SLOT_SIZE
-            self.aspace.map_region(base, PKT_SLOT_SIZE, f"kernel:pkt{cpu}")
-            self._pkt_slots[cpu] = base
-        skb = base + PKT_SLOT_SIZE // 2
+        skb = self._slot(cpu) + PKT_SLOT_SIZE // 2
         self.aspace.write_bytes(skb, payload)
 
         # L4 checksum: 16-bit ones'-complement sum, as udp_rcv would.

@@ -74,7 +74,7 @@ class DatapathStats:
     no_reply: int = 0
     #: TCP frames whose length prefix was invalid (connection closed).
     bad_frames: int = 0
-    #: Ingress batches drained through one engine entry.
+    #: Ingress batches drained through one service entry.
     batches: int = 0
     #: Batch-size histogram: drained size -> count.  Partial batches
     #: (timer fired, drain/stop flushed) show up as their actual size,
@@ -109,7 +109,7 @@ class _Ingress(asyncio.DatagramProtocol):
     With ``batch_size > 1`` the callback turns into an AF_XDP/GRO-style
     accumulator: admitted datagrams collect in a pending batch until
     either the size budget fills or the time budget expires, then the
-    whole batch drains through *one* service/engine entry
+    whole batch drains through *one* service entry
     (``ingress_batch``) and the ``TX`` replies flush together.
     Admission stays strictly per packet — shedding happens before a
     packet ever joins a batch, so shed accounting is identical batched
@@ -161,7 +161,7 @@ class _Ingress(asyncio.DatagramProtocol):
             dp.admission.stats.shed_queue += 1
 
     def flush(self) -> None:
-        """Drain the pending batch through one engine entry.
+        """Drain the pending batch through one service entry.
 
         Runs at the size budget, at the time budget, or from the
         datapath's graceful stop (a partial batch must still be served:
@@ -205,7 +205,7 @@ class UdpDatapath:
 
     ``batch_size`` > 1 enables batched ingress: admitted datagrams
     accumulate until the size budget fills or ``batch_timeout``
-    (seconds) elapses, then drain through one engine entry.  The
+    (seconds) elapses, then drain through one service entry.  The
     default of 1 keeps the unbatched per-datagram path (latency-
     optimal for closed-loop clients); batching pays off under open-
     loop/pipelined offered load, where a backlog exists to amortize.

@@ -127,29 +127,37 @@ class PacketService:
         fallback), ``"drop"``, ``"bad"``, or ``"pass"`` — the last
         means the caller must finish the request with :meth:`deliver`.
         """
-        self.stats.requests += 1
         self._tick()
-        try:
-            reply, path = self._serve_sync(payload, cpu)
-        except FrameError:
-            self.stats.bad_frames += 1
-            return None, "bad"
-        if path == "kernel":
-            self.stats.kernel_tx += 1
-        elif path == "userspace":
-            self.stats.userspace_pass += 1
-        elif path == "drop":
-            self.stats.dropped += 1
-        return reply, path
+        return self._ingress_one(payload, cpu, False)
 
     def ingress_batch(self, payloads, cpu: int = 0) -> list:
         """Synchronous ingress for one accumulated batch: one entry
-        into the service for N packets.  Returns one ``(reply, path)``
-        per payload, in order, with per-packet semantics identical to
-        calling :meth:`ingress` N times.  The base implementation *is*
-        that loop; :class:`ExtensionService` overrides it with an
-        engine entry whose per-packet setup is amortized."""
-        return [self.ingress(p, cpu) for p in payloads]
+        into the service (one clock tick) for N packets, then the same
+        per-packet step as :meth:`ingress`, in order.  Verdict mapping
+        is strictly per packet — a reply is read back before the next
+        packet overwrites the shared slot, and a mid-batch cancellation
+        sends the faulting packet up the stack while the remainder
+        honors quarantine/readmission exactly as unbatched ingress."""
+        self._tick()
+        one = self._ingress_one
+        return [one(p, cpu, True) for p in payloads]
+
+    def _ingress_one(self, payload: bytes, cpu: int, batched: bool):
+        stats = self.stats
+        stats.requests += 1
+        try:
+            served = self._serve_sync(payload, cpu, batched)
+        except FrameError:
+            stats.bad_frames += 1
+            return None, "bad"
+        path = served[1]
+        if path == "kernel":
+            stats.kernel_tx += 1
+        elif path == "userspace":
+            stats.userspace_pass += 1
+        elif path == "drop":
+            stats.dropped += 1
+        return served
 
     async def deliver(self, payload: bytes, cpu: int = 0) -> bytes | None:
         """Asynchronous stack delivery for an ``ingress`` that returned
@@ -164,7 +172,11 @@ class PacketService:
             return await self.deliver(payload, cpu)
         return reply
 
-    def _serve_sync(self, payload: bytes, cpu: int):
+    def _serve_sync(self, payload: bytes, cpu: int, batched: bool = False):
+        """One packet → ``(reply | None, path)``.  ``batched`` says the
+        packet came in through :meth:`ingress_batch`; it only selects
+        which entry of the extension's packet path is used (see
+        :meth:`~repro.core.runtime.LoadedExtension.run_packet`)."""
         raise NotImplementedError
 
     def quiescence_report(self) -> dict:
@@ -211,78 +223,29 @@ class ExtensionService(PacketService):
         self.stats.userspace_pass += 1
         return reply
 
-    def ingress_batch(self, payloads, cpu: int = 0) -> list:
-        """Batched XDP dispatch: one engine entry for the whole batch.
-
-        The per-packet constants — pooled engine, staged packet slot,
-        ctx slot, watchdog arming — are bound once via
-        :meth:`~repro.core.runtime.LoadedExtension.xdp_batch_invoker`;
-        each packet then only rewrites the slot bytes and
-        data/data_end before running.  Verdict mapping stays strictly
-        per packet (an ``XDP_TX`` reply is read back before the next
-        packet overwrites the shared slot), and a mid-batch
-        cancellation that kills the extension downgrades the faulting
-        packet and the remainder to the per-packet path, which honors
-        quarantine/readmission exactly as unbatched ingress does.
-        """
-        ext = self.ext
-        if ext is None or ext.dead or ext.program.hook != "xdp":
-            return [self.ingress(p, cpu) for p in payloads]
-        self._tick()
-        run = ext.xdp_batch_invoker(cpu)
-        read_reply = self.runtime.kernel.net.packet_reader(cpu)
-        stats = self.stats
-        out = []
-        for i, payload in enumerate(payloads):
-            stats.requests += 1
-            verdict = run(payload)
-            if ext.dead:
-                # Cancelled + unloaded mid-batch: this packet falls
-                # back to the stack (same as _serve_sync's dead path),
-                # and the rest of the batch goes per-packet.
-                out.append((None, "pass"))
-                out.extend(self.ingress(p, cpu) for p in payloads[i + 1 :])
-                return out
-            if verdict == XDP_TX:
-                stats.kernel_tx += 1
-                out.append((read_reply(len(payload)), "kernel"))
-            elif verdict == XDP_PASS:
-                out.append((None, "pass"))
-            else:
-                stats.dropped += 1
-                out.append((None, "drop"))
-        return out
-
-    def _serve_sync(self, payload: bytes, cpu: int):
+    def _serve_sync(self, payload: bytes, cpu: int, batched: bool = False):
         ext = self.ext
         if ext is None:
             return None, "pass"
         if ext.dead and not self.runtime.supervisor.try_readmit(ext):
             return None, "pass"
+        verdict, read = ext.run_packet(payload, cpu, batched)
+        if ext.dead:
+            # The invocation was cancelled and unwound: the stack
+            # delivers the original packet to userspace.
+            return None, "pass"
         if ext.program.hook == "xdp":
-            verdict = ext.invoke(ext.xdp_ctx(payload, cpu), cpu=cpu)
-            if verdict == XDP_TX and not ext.dead:
-                return (
-                    self.runtime.kernel.net.read_packet(cpu, len(payload)),
-                    "kernel",
-                )
-            if verdict == XDP_PASS or ext.dead:
-                # PASS by choice, or the invocation was cancelled and
-                # unwound — either way the stack delivers the original
-                # packet to userspace.
-                return None, "pass"
-            return None, "drop"
+            if verdict == XDP_TX:
+                return read(len(payload)), "kernel"
+            return None, "pass" if verdict == XDP_PASS else "drop"
         # sk_skb: the verdict is SK_PASS/SK_DROP; "the kernel answered"
         # is signalled by the REPLY_FLAG the extension set in the slot.
-        verdict = ext.invoke(ext.sk_skb_ctx(payload, cpu), cpu=cpu)
-        if verdict == SK_PASS and not ext.dead:
-            reply = self.runtime.kernel.net.read_packet(cpu, len(payload))
-            if reply and reply[0] & 0x80:
-                return reply, "kernel"
-            return None, "pass"
-        if ext.dead:
-            return None, "pass"
-        return None, "drop"
+        if verdict != SK_PASS:
+            return None, "drop"
+        reply = read(len(payload))
+        if reply and reply[0] & 0x80:
+            return reply, "kernel"
+        return None, "pass"
 
 
 class DurableMemcachedService(ExtensionService):
@@ -432,8 +395,8 @@ class DurableMemcachedService(ExtensionService):
             old.unload()
         return program_digest(new_ext.program)
 
-    def _serve_sync(self, payload: bytes, cpu: int):
-        reply, path = super()._serve_sync(payload, cpu)
+    def _serve_sync(self, payload: bytes, cpu: int, batched: bool = False):
+        reply, path = super()._serve_sync(payload, cpu, batched)
         shipper = self.shipper
         if shipper is not None and shipper.has_staged():
             from repro.errors import PrimaryFenced, QuorumLost
@@ -447,15 +410,6 @@ class DurableMemcachedService(ExtensionService):
                 self.fenced_drops += 1
                 return None, "drop"
         return reply, path
-
-    def ingress_batch(self, payloads, cpu: int = 0) -> list:
-        if self.shipper is None:
-            return super().ingress_batch(payloads, cpu)
-        # The batched engine entry bypasses _serve_sync, and with it the
-        # quorum commit; with replication on, every packet must pass
-        # through the ship-then-ack gate, so batching degrades to the
-        # per-packet loop (the replication benchmark prices this in).
-        return [self.ingress(p, cpu) for p in payloads]
 
     def close(self) -> None:
         # Flush, don't snapshot: close must be cheap and crash-safe
@@ -482,7 +436,7 @@ class SupervisedMemcachedService(PacketService):
         self.app = SupervisedMemcached(runtime, **kflex_kwargs)
         self.ext = self.app.ext
 
-    def _serve_sync(self, payload: bytes, cpu: int):
+    def _serve_sync(self, payload: bytes, cpu: int, batched: bool = False):
         reply = self.app.serve(payload, cpu)
         return reply, self.app.last_path
 
@@ -498,7 +452,7 @@ class SupervisedRedisService(PacketService):
         self.app = SupervisedRedis(runtime, **kflex_kwargs)
         self.ext = self.app.ext
 
-    def _serve_sync(self, payload: bytes, cpu: int):
+    def _serve_sync(self, payload: bytes, cpu: int, batched: bool = False):
         reply = self.app.serve(payload, cpu)
         return reply, self.app.last_path
 
@@ -510,7 +464,6 @@ def build_service(
     fallback: str = "supervised",
     engine: str | None = None,
     userspace=None,
-    fuse=None,
     **kflex_kwargs,
 ) -> PacketService:
     """Service factory shared by ``kflexctl serve`` and the benchmarks.
@@ -524,15 +477,12 @@ def build_service(
       delivery callable (e.g. a :class:`UserspaceBridge` request);
     * ``"none"`` — extension only; PASS verdicts are dropped.
 
-    ``fuse`` is the superinstruction escape hatch (``False`` disables
-    the pipeline's fuse pass; see ``kflexctl serve --no-fuse``).
-
     ``app="ratelimit"`` and ``app="l4lb"`` are the hostile-traffic
     tiers and ignore ``fallback``: the shedder fronts a durable
     memcached, the balancer fronts ``n_backends`` of them (each
     backend owning its own runtime and store).
     """
-    runtime = runtime or KFlexRuntime(engine=engine, fuse=fuse)
+    runtime = runtime or KFlexRuntime(engine=engine)
     if app == "ratelimit":
         from repro.apps.ratelimit import RateLimitConfig, RateLimitedService
         from repro.state import DurableStore, MemStorage

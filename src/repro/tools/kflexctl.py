@@ -325,7 +325,6 @@ def _net_service_factory(args):
     """Per-shard service builder for serve/loadtest (late import: the
     file-based subcommands should not pay for the net package)."""
     store_dir = getattr(args, "store", "")
-    fuse = not getattr(args, "no_fuse", False)
     profile = getattr(args, "profile", "")
     if profile:
         from repro.verify.profiles import resolve_profile
@@ -348,7 +347,7 @@ def _net_service_factory(args):
             # Per-shard subdirectory: each shard owns its pin, so a
             # crashed shard's replacement recovers exactly its state.
             return DurableMemcachedService(
-                KFlexRuntime(engine=args.engine, fuse=fuse),
+                KFlexRuntime(engine=args.engine),
                 store=DurableStore(f"{store_dir}/shard{shard_id}"),
                 verify_profile=profile,
             )
@@ -363,8 +362,7 @@ def _net_service_factory(args):
 
     def factory(shard_id: int):
         return build_service(
-            args.app, fallback=args.fallback, engine=args.engine, fuse=fuse,
-            **extra,
+            args.app, fallback=args.fallback, engine=args.engine, **extra,
         )
 
     return factory
@@ -894,7 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ingress batch size: admitted datagrams "
                             "accumulate until this many are pending "
                             "(or --batch-timeout elapses) and drain "
-                            "through one engine entry (default 1 = "
+                            "through one service entry (default 1 = "
                             "unbatched)")
         s.add_argument("--batch-timeout", type=float, default=0.002,
                        help="ingress batching time budget in seconds "
@@ -902,9 +900,6 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--profile", default="",
                        help="verifier profile shards verify programs "
                             "under (durable --store serving only)")
-        s.add_argument("--no-fuse", action="store_true",
-                       help="disable superinstruction fusion in the "
-                            "execution engine")
         if name == "serve":
             s.add_argument("--duration", type=float, default=0.0,
                            help="seconds to serve (0 = until Ctrl-C)")

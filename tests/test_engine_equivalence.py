@@ -34,7 +34,7 @@ from repro.ebpf.engine import (
 )
 from repro.ebpf.helpers import HelperTable
 from repro.ebpf.interpreter import ExecEnv, Interpreter
-from repro.ebpf.pipeline import FuseConfig, compute_fuse_plan
+from repro.ebpf.pipeline import compute_fuse_plan
 from repro.kernel.addrspace import AddressSpace
 
 R = Reg
@@ -86,10 +86,9 @@ def assert_same(ri, rt, label=""):
         f"engine divergence {label}"
 
 
-#: Fusion config used by the differential harness, and a tally of how
-#: many harness runs actually executed fused superinstruction blocks —
-#: asserted non-vacuous by test_fused_parity_sweep_is_not_vacuous.
-_FUSE_CFG = FuseConfig()
+#: Tally of how many harness runs actually executed fused
+#: superinstruction blocks — asserted non-vacuous by
+#: test_fused_parity_sweep_is_not_vacuous.
 _FUSED_RUNS = {"runs": 0, "blocks": 0}
 
 
@@ -103,9 +102,7 @@ def run_both(insns, *, setup=None, ctx_addr=0, max_steps=None, **env_kw):
     ri = Interpreter(insns, env_i).run(ctx_addr, max_steps=max_steps)
     rt = ThreadedEngine(insns, env_t).run(ctx_addr, max_steps=max_steps)
     assert_same(ri, rt)
-    plan = compute_fuse_plan(
-        insns, _FUSE_CFG, has_heap=env_kw.get("heap") is not None
-    )
+    plan = compute_fuse_plan(insns, has_heap=env_kw.get("heap") is not None)
     if plan:
         env_f = _fresh_env(setup, **env_kw)
         eng_f = ThreadedEngine(insns, env_f, plan=plan)
@@ -380,7 +377,7 @@ def test_falling_off_the_end_panics_before_stall_or_watchdog():
     a.mov(R.R0, 1)
     a.mov(R.R1, 2)
     insns = a.assemble()  # no EXIT
-    plan = compute_fuse_plan(insns, _FUSE_CFG, has_heap=False)
+    plan = compute_fuse_plan(insns, has_heap=False)
     for max_steps in (None, 2, 1):
         seen = []
         for make in (
@@ -463,7 +460,7 @@ class WarmPair:
         self.insns = insns
         self.oracle_env = _fresh_env(setup, **env_kw)
         self.engines = [ThreadedEngine(insns, _fresh_env(setup, **env_kw))]
-        plan = compute_fuse_plan(insns, _FUSE_CFG, has_heap=False)
+        plan = compute_fuse_plan(insns, has_heap=False)
         if plan:
             self.engines.append(
                 ThreadedEngine(insns, _fresh_env(setup, **env_kw), plan=plan)
@@ -865,7 +862,7 @@ def test_fused_watchdog_schedule_parity():
     a.mov(R.R0, R.R1)
     a.exit()
     insns = a.assemble()
-    plan = compute_fuse_plan(insns, _FUSE_CFG, has_heap=False)
+    plan = compute_fuse_plan(insns, has_heap=False)
     assert plan  # the loop body is a fusible run
     seen = {}
     for name, make in (
@@ -895,7 +892,7 @@ def test_fused_step_limit_lands_mid_block():
     a.xor(R.R2, R.R1)
     a.jmp(loop)
     insns = a.assemble()
-    plan = compute_fuse_plan(insns, _FUSE_CFG, has_heap=False)
+    plan = compute_fuse_plan(insns, has_heap=False)
     assert plan
     for limit in range(5, 17):
         ri = Interpreter(insns, _fresh_env()).run(max_steps=limit)
@@ -906,7 +903,28 @@ def test_fused_step_limit_lands_mid_block():
         assert ri.fault is not None and ri.fault.kind == "stall"
 
 
-def _fused_mem_trace(engine, fuse, chase=False):
+@pytest.mark.fuse
+@pytest.mark.parametrize("max_len", range(2, 8))
+def test_every_plan_shape_matches_the_interpreter(max_len):
+    """Block length is not a knob any more, but every block shape the
+    planner can emit — runs cut at 2 to 7 instructions, with and
+    without an absorbed terminal — must execute to the interpreter's
+    result when handed straight to the engine."""
+    rng = random.Random(0xB10C + max_len)
+    fused = 0
+    for gen in (gen_alu, gen_branchy, gen_memory):
+        for _ in range(10):
+            insns = gen(random.Random(rng.getrandbits(64)))
+            plan = compute_fuse_plan(insns, has_heap=False, max_len=max_len)
+            assert all(length <= max_len for _, length, _ in plan)
+            eng = ThreadedEngine(insns, _fresh_env(), plan=plan)
+            assert_same(Interpreter(insns, _fresh_env()).run(), eng.run(),
+                        f"(max_len {max_len})")
+            fused += eng.fused_blocks
+    assert fused > 0
+
+
+def _fused_mem_trace(engine, chase=False):
     """Drive LDX -> GUARD -> STX once onto a populated page and once
     onto an unpopulated one.  ``chase`` loads through the register it
     overwrites (``r7 = *r7``), so a deopt after the load must put the
@@ -915,7 +933,7 @@ def _fused_mem_trace(engine, fuse, chase=False):
     from repro.ebpf.macroasm import MacroAsm
     from repro.ebpf.program import Program
 
-    rt = KFlexRuntime(engine=engine, fuse=fuse)
+    rt = KFlexRuntime(engine=engine)
     heap = rt.create_heap(1 << 16, name="memf")
     m = MacroAsm()
     ptr = R.R7 if chase else R.R6
@@ -939,7 +957,7 @@ def _fused_mem_trace(engine, fuse, chase=False):
     ext.dead = False
     out.append((ext.invoke(ctx), describe_result(ext.last_result)))
     out.append(dict(ext.stats.cancellations_by_reason))
-    if engine == "threaded" and fuse is not False:
+    if engine == "threaded":
         eng = ext._engines[0].engine
         assert any(k == "mem" for _, _, k in eng.plan)
         assert eng.fused_blocks > 0
@@ -952,17 +970,16 @@ def test_fused_mem_idiom_runtime_parity():
     commits load+guard+store in one closure; an unpopulated target page
     deoptimizes to single-step execution and must fault exactly like
     the interpreter (same insn index, same cancellation accounting)."""
-    ti = _fused_mem_trace("interp", None)
-    tu = _fused_mem_trace("threaded", False)
-    tf = _fused_mem_trace("threaded", None)
-    assert ti == tu == tf
+    ti = _fused_mem_trace("interp")
+    tf = _fused_mem_trace("threaded")
+    assert ti == tf
     assert ti[1] == 0xABCD  # the guarded store actually landed
 
 
 @pytest.mark.fuse
 def test_fused_mem_idiom_deopt_restores_chased_pointer():
-    ti = _fused_mem_trace("interp", None, chase=True)
-    tf = _fused_mem_trace("threaded", None, chase=True)
+    ti = _fused_mem_trace("interp", chase=True)
+    tf = _fused_mem_trace("threaded", chase=True)
     assert ti == tf
     assert ti[1] == 0xABCD
     assert ti[3] == {"page_fault": 1}
@@ -970,13 +987,15 @@ def test_fused_mem_idiom_deopt_restores_chased_pointer():
 
 @pytest.mark.fuse
 def test_fused_injected_fault_parity():
-    """Same fault plan, same workload: fused and unfused threaded
-    execution produce bit-identical ExecResults and injector schedules
-    (and both match the interpreter via the default-on load path)."""
-    tu = _run_injected_ds("threaded", fuse=False)
-    tf = _run_injected_ds("threaded", fuse=None)
-    assert tu == tf
-    assert sum(tu[2].values()) > 0
+    """Same fault plan, same workload: fused threaded execution and
+    the interpreter produce bit-identical ExecResults and injector
+    schedules — and the threaded leg really ran fused blocks."""
+    fused_blocks = []
+    ti = _run_injected_ds("interp")
+    tf = _run_injected_ds("threaded", fused_blocks)
+    assert ti == tf
+    assert sum(tf[2].values()) > 0
+    assert sum(fused_blocks) > 0
 
 
 # -- runtime-level parity -----------------------------------------------------
@@ -1149,13 +1168,15 @@ def test_quarantine_readmission_parity_across_engines():
 # -- injected-fault parity ----------------------------------------------------
 
 
-def _run_injected_ds(engine: str, fuse=None):
-    """Drive a hashmap under a fault plan; capture every observable."""
+def _run_injected_ds(engine: str, fused_blocks=None):
+    """Drive a hashmap under a fault plan; capture every observable.
+    ``fused_blocks`` (a list) collects each pooled engine's count of
+    fused superinstruction blocks."""
     from repro.core.runtime import KFlexRuntime
     from repro.apps.datastructures import ALL_STRUCTURES
     from repro.sim.faults import FaultPlan
 
-    rt = KFlexRuntime(engine=engine, fuse=fuse)
+    rt = KFlexRuntime(engine=engine)
     rt.watchdog_period = 64
     ds = ALL_STRUCTURES["hashmap"](rt)
     inj = rt.install_injector(FaultPlan(11, {
@@ -1176,6 +1197,11 @@ def _run_injected_ds(engine: str, fuse=None):
         # The bit-identical surface: the op's full ExecResult, not just
         # its return value — fault sites and register files included.
         trace.append((op, k, ret, describe_result(ds.exts[op].last_result)))
+    if fused_blocks is not None:
+        fused_blocks += [
+            tp.engine.fused_blocks
+            for ext in ds.exts.values() for tp in ext._engines.values()
+        ]
     return trace, list(inj.log), dict(inj.fires)
 
 

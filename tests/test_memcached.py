@@ -9,6 +9,7 @@ from repro.apps.memcached.gc_codesign import GarbageCollectedMemcached
 from repro.apps.memcached.kflex_ext import KFlexMemcached
 from repro.apps.memcached.userspace import UserspaceMemcached
 from repro.ebpf.program import XDP_PASS, XDP_TX
+from repro.errors import KernelPanic
 
 
 @pytest.fixture
@@ -114,6 +115,18 @@ def test_bmc_lookaside_flow(rt):
     # Warm: answered at XDP.
     assert bmc.probe(P.encode_get(3)) == XDP_TX
     assert P.decode_reply(bmc.read_reply()) == (True, 33)
+
+
+def test_bmc_read_reply_before_any_packet_panics(rt):
+    """No packet staged on that CPU yet: a KernelPanic that says so,
+    not a bare KeyError out of the slot table."""
+    bmc = BmcCache(rt)
+    with pytest.raises(KernelPanic, match="no packet staged on cpu 0"):
+        bmc.read_reply()
+    bmc.probe(P.encode_get(3))
+    assert len(bmc.read_reply()) == P.PKT_SIZE
+    with pytest.raises(KernelPanic, match="no packet staged on cpu 1"):
+        bmc.read_reply(cpu=1)
 
 
 def test_bmc_set_invalidates(rt):

@@ -268,6 +268,48 @@ def test_udp_garbled_datagram_counts_bad_frame_and_stays_silent():
 
 
 @pytest.mark.net
+@pytest.mark.parametrize("batch_size", [1, 4])
+def test_udp_oversize_datagram_is_a_bad_frame_not_a_wedge(batch_size):
+    """A datagram larger than the 4 KB staging slot is refused as a bad
+    frame: its admission slot is released and its neighbours — in the
+    same batch when batching — are still served.  (It used to raise
+    KernelPanic out of the receive callback: the slot leaked, the rest
+    of the batch was never served, and ``max_inflight`` such datagrams
+    shed all later traffic for good.)"""
+    async def run():
+        svc = build_service("memcached", fallback="none")
+        dp = await UdpDatapath(
+            svc, cpu=0, batch_size=batch_size, batch_timeout=0.01
+        ).start()
+        loop = asyncio.get_running_loop()
+        got = []
+
+        class Probe(asyncio.DatagramProtocol):
+            def datagram_received(self, data, addr):
+                got.append(data)
+
+        tr, _ = await loop.create_datagram_endpoint(
+            Probe, remote_addr=("127.0.0.1", dp.port)
+        )
+        for pkt in (MP.encode_set(1, 11), MP.encode_get(1),
+                    b"x" * 5000, MP.encode_get(1)):
+            tr.sendto(pkt)
+        for _ in range(100):
+            if len(got) == 3:
+                break
+            await asyncio.sleep(0.01)
+        assert [MP.decode_reply(r) for r in got] == [(True, 11)] * 3
+        assert svc.stats.bad_frames == 1
+        assert svc.stats.requests == 4 and svc.stats.kernel_tx == 3
+        assert dp.admission.inflight == 0
+        assert dp.stats.no_reply == 1
+        tr.close()
+        await dp.stop()
+
+    asyncio.run(run())
+
+
+@pytest.mark.net
 def test_udp_sheds_when_not_admitting():
     async def run():
         svc = SupervisedMemcachedService()

@@ -23,8 +23,6 @@ from repro.ebpf.isa import Reg
 from repro.ebpf.macroasm import MacroAsm
 from repro.ebpf.pipeline import (
     CompilationPipeline,
-    FuseConfig,
-    FusePass,
     FusedProgram,
     LoweredProgram,
     Pass,
@@ -32,7 +30,6 @@ from repro.ebpf.pipeline import (
     ProgramCache,
     RawProgram,
     config_key,
-    fuse_config_key,
     program_digest,
 )
 from repro.ebpf.program import Program
@@ -371,77 +368,7 @@ def test_readmission_recompiles_warm():
     assert ext.jprog is jprog  # same cached lowering => pooled engines live
 
 
-# -- superinstruction fusion keys ---------------------------------------------
-
-
-def test_fuse_config_key_covers_every_field():
-    base = FuseConfig()
-    assert fuse_config_key(None) == ("nofuse",)
-    assert fuse_config_key(base) == fuse_config_key(FuseConfig())
-    for f in dataclasses.fields(FuseConfig):
-        v = getattr(base, f.name)
-        bumped = dataclasses.replace(
-            base, **{f.name: not v if isinstance(v, bool) else v + 1}
-        )
-        assert fuse_config_key(bumped) != fuse_config_key(base), \
-            f"field {f.name} missing from the fuse cache key"
-
-
-def test_fused_and_unfused_artifacts_never_collide():
-    """Flipping the fusion config must miss the fuse stage of the
-    ProgramCache while the placement-keyed stages still hit: fused and
-    unfused artifacts occupy distinct keys in the same cache."""
-    rt = KFlexRuntime()
-    heap = rt.create_heap(HEAP, name="fuse")
-    prog = make_program()
-    on = rt.load(prog, heap=heap, attach=False)
-    assert isinstance(on.lowered, FusedProgram)
-    assert len(on.lowered.plan) > 0  # the program has fusible runs
-
-    rt.pipeline.passes.replace("fuse", FusePass(FuseConfig(enabled=False)))
-    off = rt.load(prog, heap=heap, attach=False)
-    assert off.lowered.plan == ()
-    # Upstream stages were warm; only the fuse stage recomputed.
-    st = rt.pipeline.cache.stats.by_stage
-    assert st["verify"]["hits"] == 1
-    assert st["lower"]["hits"] == 1
-    assert st["fuse"] == {"hits": 0, "misses": 2}
-    assert rt.pipeline.stats.warm_loads == 0  # the fuse miss is visible
-
-    # Back to the original config: every stage hits, including fuse.
-    rt.pipeline.passes.replace("fuse", FusePass(FuseConfig()))
-    again = rt.load(prog, heap=heap, attach=False)
-    assert again.lowered.plan == on.lowered.plan
-    assert st["fuse"]["hits"] == 1
-    assert rt.pipeline.stats.warm_loads == 1
-
-
-def test_fuse_entries_respect_lru_bound():
-    """Fuse-stage payloads live in the same bounded LRU: flipping
-    configs on a tiny cache evicts rather than grows."""
-    rt = KFlexRuntime()
-    rt.pipeline.cache = ProgramCache(capacity=4)
-    heap = rt.create_heap(HEAP, name="lru")
-    prog = make_program()
-    ctx = rt.make_ctx(0, [0] * 8)
-    for max_len in (2, 3, 4, 5, 6, 7):
-        rt.pipeline.passes.replace(
-            "fuse", FusePass(FuseConfig(max_len=max_len))
-        )
-        ext = rt.load(prog, heap=heap, attach=False)
-        assert ext.invoke(ctx) == 7
-    assert len(rt.pipeline.cache) <= 4
-    assert rt.pipeline.cache.stats.evictions > 0
-
-
-def test_runtime_fuse_flag_disables_the_pass():
-    rt = KFlexRuntime(fuse=False)
-    heap = rt.create_heap(HEAP, name="nofuse")
-    ext = rt.load(make_program(), heap=heap, attach=False)
-    assert ext.lowered.plan == ()
-    assert ext.invoke(rt.make_ctx(0, [0] * 8)) == 7
-    engine = ext._engines[0].engine
-    assert engine.fused_blocks == 0
+# -- superinstruction fusion ---------------------------------------------------
 
 
 def test_fused_engine_reports_blocks():
