@@ -159,6 +159,8 @@ kbench-compare:
 
 # kbench's own tests (oracle, spec, streams, tracer): not part of
 # tier-1, so run them after touching anything the tracer patches
-# (tests/test_kbench_surface.py pins that surface in tier-1).
+# (tests/test_kbench_surface.py pins that surface in tier-1).  With
+# them, the planted-fault check on the batched entry the TCP path takes
+# (kbench's own plants its fault on `service.ingress`).
 kbench-selftest:
-	$(PY) -m pytest benchmarks/kbench/tests -q
+	$(PY) -m pytest benchmarks/kbench/tests tests/test_kbench_tcp_oracle.py -q -m "net or not net"

@@ -11,8 +11,8 @@ and the counters that make shedding observable:
   bound caps memory and tail latency rather than letting the backlog
   grow without limit.
 * **per-connection budget / connection cap** — the TCP side stops
-  *reading* a connection that has the budget's worth of frames in its
-  pipeline (real TCP backpressure: the kernel socket buffer fills and
+  *reading* a connection that has the budget's worth of frames
+  admitted (real TCP backpressure: the kernel socket buffer fills and
   the sender blocks), and refuses connections beyond the cap.
 
 **Graceful drain** (`drain()`): stop admitting, then wait for every
@@ -42,7 +42,7 @@ class AdmissionPolicy:
     max_inflight: int = 64
     #: Ingress queue bound (staged, not yet admitted to service).
     max_queue: int = 256
-    #: TCP: frames one connection may have in its pipeline before the
+    #: TCP: frames one connection may have admitted at once before the
     #: server stops reading it (backpressure, not shedding).
     per_conn_budget: int = 8
     #: TCP: concurrent connections accepted; more are closed on sight.
@@ -69,7 +69,7 @@ class ShedStats:
     shed_draining: int = 0
     #: TCP connections refused at the connection cap.
     refused_connections: int = 0
-    #: Times a TCP reader paused at its per-connection budget.
+    #: Times a TCP connection was not read: its budget was admitted.
     budget_stalls: int = 0
     #: Requests that were in flight when drain began and completed.
     drained_inflight: int = 0

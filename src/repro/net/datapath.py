@@ -13,10 +13,10 @@ The receive path mirrors a NIC driver feeding an XDP program:
 
 **UDP** (:class:`UdpDatapath`) is the Memcached transport (the paper's
 Fig. 2/3 workload).  **TCP** (:class:`TcpDatapath`) carries Redis with
-4-byte big-endian length-prefix framing and per-connection
-backpressure: the server stops *reading* a connection whose pipeline is
-at budget, so the kernel socket buffer — not an unbounded queue —
-absorbs the burst.
+4-byte big-endian length-prefix framing, served — like UDP — inside the
+receive callback, with per-connection backpressure: the server stops
+*reading* a connection that has its budget of frames admitted, so the
+kernel socket buffer — not an unbounded queue — absorbs the burst.
 
 **Userspace delivery** (:class:`UserspaceEndpoint` +
 :class:`UserspaceBridge`) models what ``XDP_PASS`` means on real
@@ -32,6 +32,7 @@ from __future__ import annotations
 import asyncio
 import socket
 import struct
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.net.backpressure import AdmissionControl, AdmissionPolicy
@@ -339,20 +340,202 @@ def _drain_escalation(service):
     return escalate
 
 
+class _TcpConn(asyncio.Protocol):
+    """One TCP connection, served from the receive callback (the TCP
+    twin of :class:`_Ingress`): ``data_received`` parses every complete
+    frame the socket already held, admits each, runs them through the
+    service as *one* ``ingress_batch`` and writes the replies with one
+    ``transport.write`` — what the socket holds *is* the batch.
+
+    Replies leave in request order.  A frame the callback cannot answer
+    (a ``"pass"`` verdict, or a service with only ``async handle``)
+    goes onto the ordered *tail*, as does every frame behind it; one
+    lazily created task works the tail off under the slot lock.  A shed
+    frame is answered with an empty frame in its position.  At most
+    ``per_conn_budget`` frames are admitted at once: the buffer is served
+    in chunks, a loop turn apart, and while the tail holds that many or
+    the client is not reading, neither does the server."""
+
+    def __init__(self, dp: "TcpDatapath"):
+        self.dp = dp
+        self.loop = asyncio.get_running_loop()
+        self.transport = self.peer = None
+        self.buf = bytearray()
+        #: ``(serve, value)``: ``service.handle`` / ``.deliver`` and the
+        #: payload it is owed (holds a slot), or None and a finished reply.
+        self.tail: deque = deque()
+        #: The tail's task, the idle deadline, and the next chunk's turn.
+        self._tail_task = self._idle_timer = self._chunk = None
+        self._write_paused = False  # client is not taking its replies
+        self._eof = False           # no more input: FIN or a poisoned prefix
+        self._progress = False      # a frame completed since _on_idle
+
+    def connection_made(self, transport):
+        self.transport = transport
+        self.peer = transport.get_extra_info("peername")
+        if not self.dp.admission.try_admit_connection(source=self.peer):
+            return transport.abort()
+        self.dp._conns.add(self)
+        self._on_idle()
+
+    def data_received(self, data):
+        self.buf += data
+        if self._chunk is None:
+            self._serve()
+
+    def eof_received(self):
+        # Half-close: every complete frame already read is still served,
+        # chunk by chunk and behind the tail; _serve closes after the last.
+        self._eof = True
+        self.transport.pause_reading()
+        if self._chunk is None:
+            self._serve()
+        return True
+
+    def pause_writing(self):
+        self._write_paused = True
+        self._flow()
+
+    def resume_writing(self):
+        self._write_paused = False
+        self._flow()
+
+    def connection_lost(self, exc):
+        for handle in (self._idle_timer, self._tail_task, self._chunk):
+            if handle is not None:
+                handle.cancel()
+        for serve, _ in self.tail:  # admitted, never to be answered
+            if serve is not None:
+                self.dp.admission.release()
+        if self in self.dp._conns:
+            self.dp._conns.discard(self)
+            self.dp.admission.release_connection()
+
+    def _flow(self) -> None:
+        policy = self.dp.admission.policy
+        if self._write_paused or len(self.tail) >= policy.per_conn_budget:
+            self.transport.pause_reading()
+        else:
+            if not self._eof:
+                self.transport.resume_reading()
+            self._serve()
+
+    def _on_idle(self, due: bool = False) -> None:
+        """Slow-loris defence: abort a connection that for a whole deadline
+        completed no frame with nothing owed to it, or left replies unread."""
+        idle = self.dp.admission.policy.idle_timeout
+        if due and not (self._progress
+                        or self.tail and not self._write_paused):
+            self.dp.admission.stats.idle_closed += 1
+            self.transport.abort()
+        elif idle is not None:
+            self._progress = False
+            self._idle_timer = self.loop.call_later(idle, self._on_idle, True)
+
+    def _serve(self) -> None:
+        """Serve the buffer's complete frames, as many as the budget allows."""
+        dp, tail = self.dp, self.tail
+        self._chunk = None
+        if self._write_paused:
+            return
+        room = dp.admission.policy.per_conn_budget - len(tail)
+        if room <= 0:
+            dp.admission.stats.budget_stalls += 1
+            return self._flow()
+        buf, stats, admit = self.buf, dp.stats, dp.admission.try_admit
+        off, frames = 0, []  # a frame: its payload, or None when shed
+        while len(frames) < room and len(buf) - off >= FRAME_HDR.size:
+            (length,) = FRAME_HDR.unpack_from(buf, off)
+            if length == 0 or length > MAX_FRAME:
+                # Garbage, and so is all behind it: serve what preceded
+                # it, read no more, close once that is answered.
+                stats.bad_frames += 1
+                self._eof = True
+                self.transport.pause_reading()
+                del buf[off:]
+                break
+            end = off + FRAME_HDR.size + length
+            if end > len(buf):
+                break
+            stats.received += 1
+            payload = bytes(buf[off + FRAME_HDR.size:end])
+            frames.append(payload if admit(source=self.peer) else None)
+            off = end
+        del buf[:off]
+        self._progress = self._progress or off > 0
+        payloads = [p for p in frames if p is not None]
+        if payloads:
+            stats.note_batch(len(payloads))
+        ingress_batch = getattr(dp.service, "ingress_batch", None)
+        if tail or ingress_batch is None:
+            # Behind an unfinished request, or a handle-only service (a
+            # shard router): in order, through the tail.
+            handle = dp.service.handle
+            tail.extend((None if p is None else handle, p) for p in frames)
+        elif frames:
+            try:
+                results = iter(ingress_batch(payloads, dp.cpu)
+                               if payloads else ())
+            except BaseException:
+                for _ in payloads:
+                    dp.admission.release()
+                raise
+            out = []
+            for payload in frames:
+                serve = reply = None
+                if payload is not None:
+                    reply, path = next(results)
+                    if path == "pass":
+                        serve, reply = dp.service.deliver, payload
+                    else:
+                        dp.admission.release()
+                if tail or serve is not None:
+                    tail.append((serve, reply))
+                else:
+                    out.append(self._framed(reply))
+            self.transport.write(b"".join(out))  # batched reply flush
+        if tail and self._tail_task is None:
+            self._tail_task = self.loop.create_task(self._run_tail())
+        if len(frames) == room and buf:
+            # The rest waits a loop turn: no burst monopolises the shard.
+            self._chunk = self.loop.call_soon(self._serve)
+        elif self._eof and not tail:
+            self.transport.close()  # all that was read is answered
+
+    def _framed(self, reply) -> bytes:
+        if reply is None:  # dropped, refused or shed: an explicit empty frame
+            self.dp.stats.no_reply += 1
+            return FRAME_HDR.pack(0)
+        self.dp.stats.replied += 1
+        return FRAME_HDR.pack(len(reply)) + reply
+
+    async def _run_tail(self) -> None:
+        dp, tail = self.dp, self.tail
+        try:
+            while tail:
+                serve, value = tail[0]
+                if serve is not None:
+                    async with dp._slot_lock:
+                        value = await serve(value, dp.cpu)
+                    dp.admission.release()
+                tail.popleft()
+                self.transport.write(self._framed(value))
+                if not self.transport.is_reading():
+                    self._flow()
+        except Exception:
+            # No reply to put in its place: reset, connection_lost cleans up.
+            self.transport.abort()
+            raise
+        self._tail_task = None
+
+
 class TcpDatapath:
     """Length-prefix-framed TCP server over one service.
 
-    Per-connection pipeline: frames are read into a bounded queue
-    (``policy.per_conn_budget``); while it is full the reader does not
-    read — TCP flow control pushes back on the sender.  Replies are
-    written in request order.
-
-    ``batch_size`` > 1 makes the per-connection reader an accumulator:
-    after the first frame of a batch it keeps reading until the size
-    budget fills or ``batch_timeout`` elapses, and the writer then
-    serves the whole batch under one slot-lock acquisition and flushes
-    the reply frames in a single write.  Admission stays per frame;
-    the pipeline budget counts batches while batching is on.
+    Every connection is a :class:`_TcpConn`: served in the receive
+    callback, at most ``policy.per_conn_budget`` frames admitted at once
+    (past that the server does not read — TCP flow control pushes back
+    on the sender), replies written in request order.
     """
 
     def __init__(
@@ -364,8 +547,6 @@ class TcpDatapath:
         cpu: int = 0,
         policy: AdmissionPolicy | None = None,
         admission: AdmissionControl | None = None,
-        batch_size: int = 1,
-        batch_timeout: float = 0.002,
     ):
         self.service = service
         self.host = host
@@ -373,180 +554,16 @@ class TcpDatapath:
         self.cpu = cpu
         self.admission = admission or AdmissionControl(policy)
         self.stats = DatapathStats()
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.batch_size = batch_size
-        self.batch_timeout = batch_timeout
         self._server: asyncio.AbstractServer | None = None
-        self._slot_lock: asyncio.Lock | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
+        self._slot_lock = asyncio.Lock()
+        self._conns: set[_TcpConn] = set()
         self.port: int | None = None
 
     async def start(self) -> "TcpDatapath":
-        self._slot_lock = asyncio.Lock()
-        self._server = await asyncio.start_server(
-            self._on_connection, self.host, self._requested_port
-        )
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _TcpConn(self), self.host, self._requested_port)
         self.port = self._server.sockets[0].getsockname()[1]
         return self
-
-    async def _on_connection(self, reader, writer):
-        peer = writer.get_extra_info("peername")
-        if not self.admission.try_admit_connection(source=peer):
-            writer.close()
-            return
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        budget = self.admission.policy.per_conn_budget
-        pipeline: asyncio.Queue = asyncio.Queue(maxsize=budget)
-        loop = asyncio.get_running_loop()
-        writer_task = loop.create_task(self._conn_writer(pipeline, writer))
-        try:
-            await self._conn_reader(reader, pipeline, source=peer)
-        except asyncio.CancelledError:
-            pass  # server stopping; fall through to cleanup
-        finally:
-            writer_task.cancel()
-            await asyncio.gather(writer_task, return_exceptions=True)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            self.admission.release_connection()
-            self._conn_tasks.discard(task)
-
-    async def _read_frame(self, reader, timeout: float | None = None,
-                          *, bound_payload: bool = False):
-        """Read one length-prefixed frame; None poisons the stream.
-
-        A ``timeout`` (batch time budget) applies to the *header* read
-        only: cancelling ``readexactly`` mid-wait leaves partial bytes
-        in the stream buffer, so timing out there keeps the stream in
-        sync, whereas a timeout between header and payload would not.
-
-        ``bound_payload`` is the idle-deadline mode: the timeout also
-        covers the payload read, because a slow-loris client's favorite
-        move is sending the header and trickling the body.  A payload
-        timeout *does* desync the stream — which is fine, because the
-        caller closes the connection on it.
-        """
-        if timeout is None:
-            hdr = await reader.readexactly(FRAME_HDR.size)
-        else:
-            hdr = await asyncio.wait_for(
-                reader.readexactly(FRAME_HDR.size), timeout
-            )
-        (length,) = FRAME_HDR.unpack(hdr)
-        if length == 0 or length > MAX_FRAME:
-            self.stats.bad_frames += 1
-            return None
-        if bound_payload and timeout is not None:
-            payload = await asyncio.wait_for(
-                reader.readexactly(length), timeout
-            )
-        else:
-            payload = await reader.readexactly(length)
-        self.stats.received += 1
-        return payload
-
-    async def _conn_reader(self, reader, pipeline: asyncio.Queue,
-                           source=None) -> None:
-        bsz = self.batch_size
-        idle = self.admission.policy.idle_timeout
-        loop = asyncio.get_running_loop()
-        poisoned = False
-        try:
-            while not poisoned:
-                # First frame of a batch: wait as long as it takes —
-                # unless an idle deadline is set, in which case a
-                # connection that produces no complete frame within it
-                # is closed and its slots released (slow-loris defence).
-                batch = []
-                deadline = None
-                while len(batch) < bsz:
-                    if deadline is None:
-                        try:
-                            payload = await self._read_frame(
-                                reader, idle, bound_payload=idle is not None
-                            )
-                        except asyncio.TimeoutError:
-                            self.admission.stats.idle_closed += 1
-                            poisoned = True
-                            break
-                    else:
-                        left = deadline - loop.time()
-                        if left <= 0:
-                            break
-                        try:
-                            payload = await self._read_frame(reader, left)
-                        except asyncio.TimeoutError:
-                            break  # time budget spent: drain what we have
-                    if payload is None:
-                        poisoned = True
-                        break
-                    if not self.admission.try_admit(source=source):
-                        continue  # shed this frame; connection stays up
-                    batch.append(payload)
-                    if deadline is None:
-                        if bsz == 1:
-                            break
-                        deadline = loop.time() + self.batch_timeout
-                if batch:
-                    if pipeline.full():
-                        self.admission.stats.budget_stalls += 1
-                    await pipeline.put(batch)  # blocks at budget: backpressure
-        except (asyncio.IncompleteReadError, ConnectionResetError):
-            pass
-        finally:
-            # Serve everything already admitted into the pipeline before
-            # the writer is torn down, so no admitted frame leaks an
-            # in-flight slot.
-            await pipeline.join()
-
-    async def _conn_writer(self, pipeline: asyncio.Queue, writer) -> None:
-        idle = self.admission.policy.idle_timeout
-        while True:
-            batch = await pipeline.get()
-            self.stats.note_batch(len(batch))
-            try:
-                out = bytearray()
-                async with self._slot_lock:
-                    # One lock round trip serves the whole batch; the
-                    # service still runs per-frame semantics inside.
-                    for payload in batch:
-                        reply = await self.service.handle(payload, self.cpu)
-                        if reply is not None:
-                            out += FRAME_HDR.pack(len(reply))
-                            out += reply
-                            self.stats.replied += 1
-                        else:
-                            # Framed transport cannot stay silent
-                            # without stalling the client: an explicit
-                            # empty frame signals "dropped / shed".
-                            out += FRAME_HDR.pack(0)
-                            self.stats.no_reply += 1
-                writer.write(bytes(out))  # batched reply flush
-                if idle is None:
-                    await writer.drain()
-                else:
-                    # A client that stops *reading* pins the reply in
-                    # the send buffer and would park this drain — and
-                    # the budget's worth of admission slots behind it —
-                    # forever.  The idle deadline bounds it; on expiry
-                    # the connection is aborted (RST analog) and the
-                    # reader's next read tears the connection down.
-                    try:
-                        await asyncio.wait_for(writer.drain(), idle)
-                    except asyncio.TimeoutError:
-                        self.admission.stats.idle_closed += 1
-                        writer.transport.abort()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            finally:
-                for _ in batch:
-                    self.admission.release()
-                pipeline.task_done()
 
     async def stop(self, drain_timeout: float | None = None) -> dict:
         if self._server is not None:
@@ -555,13 +572,12 @@ class TcpDatapath:
         await self.admission.drain(
             drain_timeout, escalate=_drain_escalation(self.service)
         )
-        if self._conn_tasks:
-            # Connections usually wind down on their own once clients
-            # disconnect; only force-cancel stragglers.
-            await asyncio.wait(list(self._conn_tasks), timeout=1.0)
-        for t in list(self._conn_tasks):
-            t.cancel()
-        await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        # Close what clients left open (flushing replies), abort who will
+        # not take them; connection_lost runs a loop turn after either.
+        for close in ("close", "abort"):
+            for conn in list(self._conns):
+                getattr(conn.transport, close)()
+            await asyncio.sleep(0)
         report = self.service.quiescence_report()
         self.service.close()
         return report

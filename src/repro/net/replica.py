@@ -50,12 +50,18 @@ from repro.state.storage import DirStorage
 
 
 class ReplicaService:
-    """Datapath service adapter for one follower's ReplicaSession."""
+    """Datapath service adapter for one follower's ReplicaSession.
+
+    A session never awaits, so the adapter is the synchronous entry
+    only: the follower acks a shipper from inside ``data_received``."""
 
     def __init__(self, session: ReplicaSession):
         self.session = session
 
-    async def handle(self, payload: bytes, cpu: int = 0) -> bytes | None:
+    def ingress_batch(self, payloads, cpu: int = 0) -> list:
+        return [(self._ack(p), "kernel") for p in payloads]
+
+    def _ack(self, payload: bytes) -> bytes:
         try:
             return self.session.handle_frame(payload)
         except Exception:
@@ -132,8 +138,8 @@ class ReplicaWorker(threading.Thread):
                 try:
                     coro.close()
                 except RuntimeError:
-                    # Suspended in a finally that awaits (TCP connection
-                    # teardown); it dies with the loop either way.
+                    # Suspended in a finally that awaits; it dies with
+                    # the loop either way.
                     pass
         dp = self.datapath
         if dp is not None and dp._server is not None:

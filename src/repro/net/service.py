@@ -266,13 +266,15 @@ class DurableMemcachedService(ExtensionService):
     When the store carries a :class:`~repro.state.replication
     .QuorumShipper`, the ack path becomes quorum-aware: records the
     extension journaled are shipped to the follower replicas *after*
-    the engine returns and *before* the reply goes out, and a write
-    that cannot reach ``sync_replicas`` durable follower acks is
-    dropped, not answered (the client retries; nothing unreplicated is
-    ever acknowledged).  A :class:`~repro.errors.PrimaryFenced` ship
-    means a promotion deposed this node — it stops answering writes
-    entirely and counts them as ``fenced_drops`` until failover
-    replaces it.
+    the engine returns and *before* the reply goes out — per request
+    through :meth:`ingress`, per drained batch (one commit group: one
+    WAL flush, one frame per follower) through :meth:`ingress_batch` —
+    and a write that cannot reach ``sync_replicas`` durable follower
+    acks is dropped, not answered (the client retries; nothing
+    unreplicated is ever acknowledged; reads of the same batch are
+    answered).  A :class:`~repro.errors.PrimaryFenced` ship means a
+    promotion deposed this node — it stops answering writes entirely
+    and counts them as ``fenced_drops`` until failover replaces it.
     """
 
     def __init__(
@@ -333,6 +335,9 @@ class DurableMemcachedService(ExtensionService):
         #: because this primary has been fenced by a newer epoch.
         self.quorum_drops = 0
         self.fenced_drops = 0
+        #: Writes of the open commit group (see :meth:`ingress_batch`);
+        #: None outside one.
+        self._group: list | None = None
 
     def _load(self, runtime, program):
         """Load a program under this shard's verification policy."""
@@ -395,21 +400,64 @@ class DurableMemcachedService(ExtensionService):
             old.unload()
         return program_digest(new_ext.program)
 
-    def _serve_sync(self, payload: bytes, cpu: int, batched: bool = False):
-        reply, path = super()._serve_sync(payload, cpu, batched)
-        shipper = self.shipper
-        if shipper is not None and shipper.has_staged():
-            from repro.errors import PrimaryFenced, QuorumLost
+    def ingress_batch(self, payloads, cpu: int = 0) -> list:
+        """One drained batch is one commit group: its WAL appends are
+        flushed once, then its staged records are shipped together,
+        and only then does any reply of the batch leave — acked still
+        means durable here and on ``sync_replicas`` followers.  The
+        per-packet step is the inherited one; this is only the scope
+        around it."""
+        base = self.stats.requests
+        self._group = writes = []
+        try:
+            with self.store.commit_group():
+                results = super().ingress_batch(payloads, cpu)
+        finally:
+            self._group = None
+        if writes:
+            stats = self.stats
+            for n, _seq in self._unacked(writes):
+                # Counted as served when the engine returned; it is not.
+                path = results[n - base][1]
+                if path == "kernel":
+                    stats.kernel_tx -= 1
+                if path != "drop":
+                    stats.dropped += 1
+                results[n - base] = (None, "drop")
+        return results
 
-            try:
-                shipper.commit()
-            except QuorumLost:
-                self.quorum_drops += 1
-                return None, "drop"
-            except PrimaryFenced:
-                self.fenced_drops += 1
-                return None, "drop"
-        return reply, path
+    def _serve_sync(self, payload: bytes, cpu: int, batched: bool = False):
+        served = super()._serve_sync(payload, cpu, batched)
+        shipper = self.shipper
+        seq = shipper.staged_seq() if shipper is not None else 0
+        if seq:
+            writes = self._group
+            if writes is None:  # unbatched entry: a group of one
+                if self._unacked([(0, seq)]):
+                    return None, "drop"
+            elif not writes or writes[-1][1] != seq:
+                # Which request (the service's running count) and the
+                # last seq it journaled; the group's end decides.
+                writes.append((self.stats.requests - 1, seq))
+        return served
+
+    def _unacked(self, writes: list) -> list:
+        """Ship what was staged — the one commit of the ack path — and
+        return those of ``writes`` (``(request, last seq)`` pairs, in
+        order) that must not be acknowledged: on a lost quorum every
+        write at or past the first seq that missed it, on a fenced
+        primary all of them."""
+        from repro.errors import PrimaryFenced, QuorumLost
+
+        try:
+            self.shipper.commit()
+            return []
+        except QuorumLost as lost:
+            writes = [w for w in writes if w[1] >= lost.seq]
+            self.quorum_drops += len(writes)
+        except PrimaryFenced:
+            self.fenced_drops += len(writes)
+        return writes
 
     def close(self) -> None:
         # Flush, don't snapshot: close must be cheap and crash-safe

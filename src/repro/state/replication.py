@@ -18,17 +18,21 @@ carries the shipper's epoch)::
 
     u8   kind      HELLO / APPEND / SNAPSHOT / WATERMARK / ACK
     u64  epoch     fencing token (see below)
-    u64  seq       record seq (APPEND), snapshot seq (SNAPSHOT ack),
-                   watermark (ACK)
+    u64  seq       first record's seq (APPEND), snapshot seq (SNAPSHOT
+                   ack), watermark (ACK)
     u16  pin len, pin bytes
     u32  body len, body
     u32  CRC-32 over everything above
 
-APPEND's body is the WAL record exactly as the primary appended it, so
-the follower's log is a bit-identical prefix of the primary's and
-``scan_wal``'s torn-tail semantics apply unchanged on the receiving
-side.  SNAPSHOT bodies are chunked (``u32 total, u32 offset, bytes``)
-so a full map image fits under the datapath's 4 KiB frame cap.
+APPEND's body is a run of 1..n WAL records with consecutive seqs,
+exactly as the primary appended them — one commit group's records per
+frame, as many as fit the frame budget — so the follower's log is a
+bit-identical prefix of the primary's and ``scan_wal``'s torn-tail
+semantics apply unchanged on the receiving side.  The follower appends
+and flushes the run once and acks its last seq; a run of one is the
+frame a per-record shipper would send, byte for byte.  SNAPSHOT bodies
+are chunked (``u32 total, u32 offset, bytes``) so a full map image fits
+under the datapath's 4 KiB frame cap.
 
 **Epoch fencing.**  Followers persist the highest epoch they have seen
 (``replication/epoch``) and answer any frame from a lower epoch with
@@ -75,12 +79,12 @@ from repro.state.snapshot import (
     snapshot_name,
     snapshot_seq,
 )
-from repro.state.wal import scan_wal
+from repro.state.wal import scan_wal, skip_records
 
 # -- frame codec ------------------------------------------------------------
 
 MSG_HELLO = 1      # announce/raise epoch; ack is a liveness probe
-MSG_APPEND = 2     # body = one WAL record blob (primary encoding)
+MSG_APPEND = 2     # body = 1..n consecutive WAL records (primary encoding)
 MSG_SNAPSHOT = 3   # body = u32 total, u32 offset, chunk bytes
 MSG_WATERMARK = 4  # read-only watermark query (never raises the epoch)
 MSG_ACK = 5        # body = status byte
@@ -98,7 +102,8 @@ _U64x2 = struct.Struct("<QQ")
 #: Whole-frame budget, matching the TCP datapath's MAX_FRAME so one
 #: replication frame always fits one wire frame.
 MAX_REPL_FRAME = 1 << 12
-#: Snapshot chunk payload size: frame budget minus codec overhead.
+#: Snapshot chunk / APPEND run payload size: frame budget minus codec
+#: overhead.
 SNAP_CHUNK = MAX_REPL_FRAME - 128
 
 #: Storage name of a node's persisted fencing epoch.
@@ -201,8 +206,8 @@ class ReplicaSession:
     turns durable bytes into state.
 
     Acks are durable acks: an APPEND is acknowledged only after its
-    bytes crossed the storage flush (fsync-analog).  Crash injection
-    hooks (``replica.append`` / ``replica.flush`` /
+    whole run crossed the storage flush (fsync-analog), once per frame.
+    Crash injection hooks (``replica.append`` / ``replica.flush`` /
     ``antientropy.install``) model the follower dying at each boundary,
     torn tails included — on restart, :meth:`watermark` re-scans with
     ``scan_wal``'s torn-tail rule and truncates the damage, and the
@@ -330,22 +335,31 @@ class ReplicaSession:
         if not self.clean(pin):
             self.stats.gaps += 1
             return self._ack(pin, ST_GAP, 0)
-        records, _good, torn = scan_wal(fr.body)
-        if torn is not None or len(records) != 1:
+        body = fr.body
+        records, _good, torn = scan_wal(body)
+        first = records[0].seq if records else 0
+        if torn is not None or not records or any(
+            rec.seq != first + i for i, rec in enumerate(records)
+        ):
             self.stats.bad_frames += 1
             return self._ack(pin, ST_BAD, self.watermark(pin))
-        rec = records[0]
+        last = records[-1].seq
         wm = self.watermark(pin)
-        if rec.seq <= wm:
+        if last <= wm:
             self.stats.dup_appends += 1
             return self._ack(pin, ST_OK, wm)
-        if rec.seq != wm + 1:
+        if first > wm + 1:
             self.stats.gaps += 1
             return self._ack(pin, ST_GAP, wm)
+        if first <= wm:
+            # A snapshot shipped in the middle of the primary's commit
+            # group re-based this log past the run's first records:
+            # only the new suffix is appended.
+            body = body[skip_records(body, wm - first + 1):]
         wal_name = f"{pin}/wal"
         if self.crash is not None:
             self.crash.at("replica.append")
-        self.storage.append(wal_name, fr.body)
+        self.storage.append(wal_name, body)
         if self.crash is not None:
             surviving = self.crash.torn(
                 "replica.flush", self.storage.pending_bytes(wal_name)
@@ -354,9 +368,9 @@ class ReplicaSession:
                 self.storage.flush(wal_name, torn_prefix=surviving)
                 raise SimulatedCrash("replica.flush")
         self.storage.flush(wal_name)
-        self._watermarks[pin] = rec.seq
-        self.stats.appends += 1
-        return self._ack(pin, ST_OK, rec.seq)
+        self._watermarks[pin] = last
+        self.stats.appends += last - wm
+        return self._ack(pin, ST_OK, last)
 
     def _snapshot_chunk(self, fr: ReplFrame) -> bytes:
         pin = fr.pin
@@ -514,16 +528,19 @@ class QuorumShipper:
 
     The map-mutation journal *stages* each record (cheap, no I/O beyond
     the local WAL flush that already happened); the serving layer calls
-    :meth:`commit` after the extension returns and before the reply is
-    written — the quorum-aware ack path.  ``commit`` ships every staged
-    record to all live followers and requires ``sync_replicas`` durable
-    acks per record, raising :class:`~repro.errors.QuorumLost`
-    otherwise (the reply is then dropped, not acked).
+    :meth:`commit` after the extension returns — once per request, or
+    once per drained batch of requests (a commit group) — and before
+    any reply of it is written: the quorum-aware ack path.  ``commit``
+    ships the staged records to all live followers, a run of
+    consecutive records per frame, and requires ``sync_replicas``
+    durable acks per run, raising :class:`~repro.errors.QuorumLost`
+    otherwise (the replies at or past the lost seq are then dropped,
+    not acked).
 
     Channel failures never raise out of a ship: a dead follower is
     marked down, counted, and left for maintenance to reconnect and
     repair.  ``ST_GAP`` acks trigger an inline resync so a freshly
-    (re)joined follower can still contribute to this record's quorum.
+    (re)joined follower can still contribute to this run's quorum.
     """
 
     def __init__(self, channels, *, sync_replicas: int = 1, epoch: int = 1,
@@ -569,25 +586,48 @@ class QuorumShipper:
     def has_staged(self) -> bool:
         return bool(self._outbox)
 
+    def staged_seq(self) -> int:
+        """Seq of the newest staged record (0: nothing is staged)."""
+        return self._outbox[-1][1] if self._outbox else 0
+
     def commit(self) -> dict[int, tuple[str, ...]]:
         """Ship the outbox; returns ``{seq: acked node_ids}``.
 
-        Raises :class:`QuorumLost` / :class:`PrimaryFenced`; either way
-        the outbox is consumed (a dead or deposed primary does not
+        The outbox goes out as runs: consecutive records of one pin,
+        as many as fit one frame, travel in one ``APPEND`` and are
+        acked together.  Raises :class:`QuorumLost` — naming the first
+        seq that did not reach quorum; runs before it did, nothing at
+        or past it was acknowledged — or :class:`PrimaryFenced`; either
+        way the outbox is consumed (a dead or deposed primary does not
         retry on behalf of an unacknowledged client)."""
         outbox, self._outbox = self._outbox, []
         if self.fenced:
             raise PrimaryFenced(self.epoch, self.epoch)
         acks: dict[int, tuple[str, ...]] = {}
-        for pin, seq, blob in outbox:
-            if len(blob) > MAX_REPL_FRAME - 128:
+        i, n = 0, len(outbox)
+        while i < n:
+            pin, first, blob = outbox[i]
+            size = len(blob)
+            if size > SNAP_CHUNK:
                 # Cannot be framed for shipment, so it can never reach
                 # a follower quorum.  The record is already in the
                 # local WAL, but the client is not acked — followers
                 # pick the value up via the chunked snapshot path.
                 self.stats.oversized_records += 1
-                raise QuorumLost(pin, seq, 0, self.sync_replicas)
-            acks[seq] = self._ship_record(pin, seq, blob)
+                raise QuorumLost(pin, first, 0, self.sync_replicas)
+            run = [blob]
+            i += 1
+            while i < n:
+                nxt_pin, seq, blob = outbox[i]
+                size += len(blob)
+                if (nxt_pin != pin or seq != first + len(run)
+                        or size > SNAP_CHUNK):
+                    break
+                run.append(blob)
+                i += 1
+            acked = self._ship_run(pin, first, run)
+            for seq in range(first, first + len(run)):
+                acks[seq] = acked
         self.last_acks = acks
         self._commits += 1
         if (self.maintenance_every is not None
@@ -595,11 +635,14 @@ class QuorumShipper:
             self.maintenance()
         return acks
 
-    def _ship_record(self, pin: str, seq: int, blob: bytes) -> tuple[str, ...]:
+    def _ship_run(self, pin: str, first: int, run: list) -> tuple[str, ...]:
+        """One ``APPEND`` frame for ``run`` (record blobs with seqs
+        ``first``, ``first + 1``, ...) to every live follower."""
         if self.crash is not None:
             self.crash.at("ship.send")
-        frame = encode_frame(MSG_APPEND, self.epoch, seq, pin, blob)
-        self.stats.records_shipped += 1
+        last = first + len(run) - 1
+        frame = encode_frame(MSG_APPEND, self.epoch, first, pin, b"".join(run))
+        self.stats.records_shipped += len(run)
         acked: list[str] = []
         for ch in self.channels:
             if not ch.alive:
@@ -610,18 +653,18 @@ class QuorumShipper:
             st = ack.status
             if st == ST_FENCED:
                 self._fence(ack)
-            if st == ST_OK and ack.seq >= seq:
-                self.stats.record_acks += 1
-                if ack.seq > seq:
+            if st == ST_OK and ack.seq >= last:
+                self.stats.record_acks += len(run)
+                if ack.seq > last:
                     self.stats.dup_acks += 1
                 acked.append(ch.node_id)
             elif st == ST_GAP:
                 self.stats.gaps_seen += 1
-                if self.resync(ch, pin, ack.seq) >= seq:
+                if self.resync(ch, pin, ack.seq) >= last:
                     acked.append(ch.node_id)
         if len(acked) < self.sync_replicas:
             self.stats.quorum_losses += 1
-            raise QuorumLost(pin, seq, len(acked), self.sync_replicas)
+            raise QuorumLost(pin, first, len(acked), self.sync_replicas)
         return tuple(acked)
 
     def _request(self, ch, frame: bytes) -> ReplFrame | None:

@@ -25,6 +25,8 @@ parses) anything after the first torn or corrupt WAL frame.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 from repro.errors import StateError
 from repro.state.recovery import PinRecovery
 from repro.state.snapshot import (
@@ -289,6 +291,25 @@ class DurableStore:
     def flush(self) -> None:
         for journal in self._journals.values():
             journal.wal.flush()
+
+    @contextmanager
+    def commit_group(self):
+        """Scope of one commit group: every WAL append inside it defers
+        the ``sync_every`` check to the scope's exit, so the group's
+        records cross the flush (fsync-analog) once, together.  The
+        caller acknowledges nothing of the group before the scope has
+        exited.  An exception (an injected crash) leaves the pending
+        bytes unflushed, as the process dying mid-group would."""
+        wals = [journal.wal for journal in self._journals.values()]
+        for wal in wals:
+            wal.grouped = True
+        try:
+            yield
+        finally:
+            for wal in wals:
+                wal.grouped = False
+        for wal in wals:
+            wal.sync()
 
     def crash_volatile(self) -> None:
         """Model process death: pending bytes vanish, journals detach.

@@ -115,6 +115,16 @@ def scan_wal(blob: bytes) -> tuple[list[WalRecord], int, str | None]:
     return records, off, None
 
 
+def skip_records(blob: bytes, n: int) -> int:
+    """Byte offset of the ``n``-th record of a blob :func:`scan_wal`
+    accepted whole (record boundaries are read off the length
+    prefixes; nothing is re-checked)."""
+    off = 0
+    for _ in range(n):
+        off += _HDR.size + _HDR.unpack_from(blob, off)[0]
+    return off
+
+
 class MapWal:
     """Appender for one pin's WAL, with an explicit durability policy.
 
@@ -122,6 +132,12 @@ class MapWal:
     acknowledged write is durable, the policy the shard-failover path
     uses.  ``sync_every=N`` batches N records per flush (the benchmark
     configuration); ``sync_every=None`` flushes only on demand.
+
+    While ``grouped`` is set (a commit group is open, see
+    :meth:`DurableStore.commit_group`) ``append`` leaves the policy
+    check (:meth:`sync`) to the group's end: its records cross the
+    flush together.  The policy itself is the same — nothing of the
+    group is acknowledged before that.
     """
 
     def __init__(self, storage, name: str, *, sync_every: int | None = 1,
@@ -140,6 +156,7 @@ class MapWal:
         #: so follower WALs are byte-identical to the primary's).
         self.last_blob: bytes = b""
         self._unsynced = 0
+        self.grouped = False
         self.records_appended = 0
         self.flushes = 0
         self.bytes_appended = 0
@@ -154,9 +171,14 @@ class MapWal:
         self._unsynced += 1
         if self.crash is not None:
             self.crash.at("wal.append")
+        if not self.grouped:
+            self.sync()
+        return self.seq
+
+    def sync(self) -> None:
+        """Apply the ``sync_every`` policy to what is pending."""
         if self.sync_every is not None and self._unsynced >= self.sync_every:
             self.flush()
-        return self.seq
 
     def flush(self) -> None:
         """Durability point.  A crash injected here persists only a

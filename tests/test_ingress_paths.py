@@ -33,6 +33,7 @@ from repro.state.replication import (
     ReplicaSession,
     decode_frame,
 )
+from repro.state.wal import scan_wal
 
 #: Simulated time both twins advance between chunks (quarantine
 #: backoffs elapse at chunk boundaries, never at different packets).
@@ -131,11 +132,14 @@ def test_oversize_payload_is_a_bad_frame_on_both_entries():
 
 
 class _FlakyChannel(LocalChannel):
-    """A follower that is down for exactly the ``down_at``-th record
-    shipped to it and back for the next one (which finds a gap and
-    resyncs)."""
+    """A follower that is down for exactly the ``down_at``-th APPEND
+    frame shipped to it and back for the next one (which finds a gap
+    and resyncs).  It also refuses a frame whose records the primary
+    has not flushed: the local flush comes before the ship."""
 
-    def __init__(self, node_id, session, down_at):
+    wal = None
+
+    def __init__(self, node_id, session, down_at=0):
         super().__init__(node_id, session)
         self.down_at = down_at
         self.sends = 0
@@ -145,7 +149,9 @@ class _FlakyChannel(LocalChannel):
     alive = property(lambda self: True, lambda self, value: None)
 
     def send(self, frame):
-        if decode_frame(frame).kind == MSG_APPEND:
+        fr = decode_frame(frame)
+        if fr.kind == MSG_APPEND:
+            assert self.wal.durable_seq >= scan_wal(fr.body)[0][-1].seq
             self.sends += 1
             if self.sends == self.down_at:
                 raise ChannelDown(self.node_id)
@@ -154,46 +160,120 @@ class _FlakyChannel(LocalChannel):
 
 def _replicated(down_at):
     channels = [
-        LocalChannel("n0", ReplicaSession(MemStorage(), node_id="n0")),
+        _FlakyChannel("n0", ReplicaSession(MemStorage(), node_id="n0")),
         _FlakyChannel("n1", ReplicaSession(MemStorage(), node_id="n1"),
                       down_at),
     ]
     shipper = QuorumShipper(channels, sync_replicas=2, maintenance_every=None)
-    return DurableMemcachedService(
+    svc = DurableMemcachedService(
         store=DurableStore(storage=MemStorage(), shipper=shipper),
         capacity=64,
     )
+    for ch in channels:
+        ch.wal = svc.store.wal(svc.pin)
+    return svc
+
+
+def _assert_same_durable_state(one, many, n_sets):
+    """The state behind the replies is the same, down to the followers
+    (the flaky one repaired itself on the next frame)."""
+    assert sorted(one.cache.entries()) == sorted(many.cache.entries())
+    seq = many.store.wal(many.pin).seq
+    assert seq == one.store.wal(one.pin).seq == n_sets
+    for svc in (one, many):
+        assert svc.shipper.watermarks(svc.pin) == {"n0": seq, "n1": seq}
+        assert svc.shipper.stats.quorum_losses == 1
+        assert svc.fenced_drops == 0
 
 
 def test_replicated_batch_holds_the_quorum_gate():
+    """A drained batch is one commit group: no write of it is acked
+    unless ``sync_replicas`` followers hold it, a lost quorum drops
+    exactly the group's writes and none of its reads, and a batch of
+    one is per-packet ``ingress``, reply for reply."""
     stream = _kv_stream(2, 240)
-    chunks = _chunks(2, stream)
-    # Take the follower down for a SET in the middle of a chunk: the
-    # batch around it must be served, that SET alone must go unacked.
-    sets_before, victim = 0, None
-    for chunk in chunks:
-        for i, pkt in enumerate(chunk):
-            if pkt[0] == P.OP_SET:
-                sets_before += 1
-                if victim is None and sets_before > 5 and 0 < i < len(chunk) - 1:
-                    victim = sets_before
-    assert victim is not None
-    one, many, out_one, out_many = _drive(lambda: _replicated(victim), chunks)
+    is_set = [p[0] == P.OP_SET for p in stream]
+    n_sets = sum(is_set)
+
+    # Batch-of-one leg: the follower is down for one SET's frame; that
+    # SET alone goes unacked, on both entries alike.
+    victim = 9
+    one, many, out_one, out_many = _drive(
+        lambda: _replicated(victim), [[p] for p in stream]
+    )
     _assert_same_service(one, many, out_one, out_many)
     assert one.quorum_drops == many.quorum_drops == 1
-    assert many.fenced_drops == 0
-    # Exactly the uncommitted SET went unanswered...
-    set_results = [r for p, r in zip(stream, out_many) if p[0] == P.OP_SET]
+    set_results = [r for r, w in zip(out_many, is_set) if w]
     assert [i for i, r in enumerate(set_results, 1) if r == (None, "drop")] \
         == [victim]
     assert all(path == "kernel" for r, path in set_results if r is not None)
-    # ...and the state behind the replies is the same, down to the
-    # followers (the flaky one repaired itself on the next record).
-    assert sorted(one.cache.entries()) == sorted(many.cache.entries())
-    seq = many.store.wal(many.pin).seq
-    assert seq == one.store.wal(one.pin).seq == len(set_results)
-    assert many.shipper.watermarks(many.pin) == {"n0": seq, "n1": seq}
-    assert many.shipper.stats.quorum_losses == 1
+    _assert_same_durable_state(one, many, n_sets)
+
+    # Group leg: the follower is down for the frame of a chunk that
+    # holds several SETs and a GET, in the middle of the stream.
+    chunks = _chunks(2, stream)
+    frames, at = 0, 0
+    for chunk in chunks:
+        kinds = [p[0] == P.OP_SET for p in chunk]
+        frames += any(kinds)
+        if frames > 5 and sum(kinds) >= 2 and not all(kinds):
+            break
+        at += len(chunk)
+    lost = {at + i for i, w in enumerate(kinds) if w}
+    assert len(lost) >= 2 and at + len(chunk) < len(stream)
+
+    many = _replicated(frames)
+    sessions = [ch.session for ch in many.shipper.channels]
+    out_many, acked_seq = [], 0
+    for chunk in chunks:
+        results = many.ingress_batch(chunk, 0)
+        many.runtime.kernel.advance_ns(STEP_NS)
+        # Acked => durable on both followers, before the replies leave.
+        for pkt, (reply, _path) in zip(chunk, results):
+            if pkt[0] == P.OP_SET:
+                acked_seq += 1
+                if reply is not None:
+                    assert all(s.watermark(many.pin) >= acked_seq
+                               for s in sessions)
+        out_many += results
+    # The per-packet twin loses the frame of the group's first SET, so
+    # its replies differ on the lost group's other writes only.
+    one = _replicated(sum(is_set[:at]) + 1)
+    out_one = []
+    for chunk in chunks:
+        out_one += [one.ingress(p, 0) for p in chunk]
+        one.runtime.kernel.advance_ns(STEP_NS)
+    dropped = {i for i, r in enumerate(out_many) if r == (None, "drop")}
+    assert dropped == lost
+    assert many.quorum_drops == len(lost) and one.quorum_drops == 1
+    assert all(out_one[i] == out_many[i]
+               for i in range(len(stream)) if i not in lost)
+    # Reads of the lost group are served; its writes moved from
+    # kernel_tx to dropped, each counted once.
+    assert all(out_many[i][1] == "kernel"
+               for i in range(at, at + len(chunk)) if i not in lost)
+    assert many.stats.requests == len(stream)
+    assert many.stats.dropped == len(lost)
+    assert many.stats.kernel_tx == len(stream) - len(lost)
+    _assert_same_durable_state(one, many, n_sets)
+
+
+def test_replicated_batch_acks_the_runs_before_the_lost_one():
+    """A group larger than one frame ships as several runs; a quorum
+    lost on the second drops the writes at or past its first seq and
+    acks the run before it."""
+    many = _replicated(2)
+    pkts = [P.encode_set(k % 60, k) for k in range(100)] + [P.encode_get(3)]
+    results = many.ingress_batch(pkts, 0)
+    first_lost = next(i for i, r in enumerate(results) if r == (None, "drop"))
+    assert 1 < first_lost < 100
+    assert all(path == "kernel" for _, path in results[:first_lost])
+    assert results[first_lost:100] == [(None, "drop")] * (100 - first_lost)
+    assert results[100][1] == "kernel"
+    assert many.quorum_drops == many.stats.dropped == 100 - first_lost
+    # The next group repairs the follower that missed the run.
+    assert many.ingress_batch([P.encode_set(1, 1)], 0)[0][1] == "kernel"
+    assert many.shipper.watermarks(many.pin) == {"n0": 101, "n1": 101}
 
 
 # -- (iii) the shedder in front of a durable service ----------------------------

@@ -6,7 +6,9 @@ so a refactor of the path could break the traced run unnoticed.  This
 builds both network services the way kbench's server child does,
 instruments them, and checks that a request entering through either
 ``ingress`` or ``ingress_batch`` is numbered once and crosses each
-layer boundary exactly once.
+layer boundary exactly once — and that on the TCP service the spans of
+the commit path follow the group: per SET through ``ingress``, per
+batch through ``ingress_batch``.
 """
 
 from collections import Counter
@@ -53,4 +55,42 @@ def test_traced_request_crosses_each_layer_once(workload):
         entries[name] += n
     assert entries["net.service.ingress"] == 20
     assert entries["net.service.ingress_batch"] == 1
+    service.close()
+
+
+def _span_counts(tracer, since):
+    width = len(trace.FIELDS)
+    return Counter(tracer.names[tracer.spans[i]]
+                   for i in range(since * width, len(tracer.spans), width))
+
+
+def test_commit_path_spans_follow_the_group():
+    service, datapath = server.build(spec.WORKLOAD_BY_NAME["tcp_quorum_mixed"])
+    tracer = trace.Tracer()
+    trace.instrument_service(tracer, service, datapath)
+    tracer.enabled = True
+    service.ingress(P.encode_set(0, 1), 0)  # re-bases the fresh followers
+    pkts = [P.encode_set(1, 2), P.encode_get(1), P.encode_set(2, 3),
+            P.encode_get(2), P.encode_set(1, 4), P.encode_get(0)]
+    followers = spec.TCP_FOLLOWERS
+
+    mark, n_req = len(tracer.spans) // len(trace.FIELDS), tracer.n_req
+    assert [path for _, path in service.ingress_batch(pkts, 0)] \
+        == ["kernel"] * 6
+    spans = _span_counts(tracer, mark)
+    assert tracer.n_req == n_req + 6
+    assert spans["state.replication.stage"] == 3
+    assert spans["state.wal.append"] == 3
+    assert spans["state.wal.flush"] == 1
+    assert spans["state.replication.commit"] == 1
+    assert spans["state.replication.follower"] == followers
+
+    mark, n_req = len(tracer.spans) // len(trace.FIELDS), tracer.n_req
+    assert [service.ingress(p, 0)[1] for p in pkts] == ["kernel"] * 6
+    spans = _span_counts(tracer, mark)
+    assert tracer.n_req == n_req + 6
+    for name in ("state.replication.stage", "state.wal.append",
+                 "state.wal.flush", "state.replication.commit"):
+        assert spans[name] == 3, name
+    assert spans["state.replication.follower"] == 3 * followers
     service.close()

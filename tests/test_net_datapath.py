@@ -458,6 +458,40 @@ def test_tcp_garbled_payload_gets_empty_frame_reply():
     asyncio.run(run())
 
 
+@pytest.mark.net
+def test_tcp_half_close_answers_every_frame_already_sent():
+    """A client that pipelines a burst and shuts its sending side down
+    still gets every reply — the chunks past the connection budget are
+    served after the FIN — and then the server's close."""
+
+    async def run():
+        from repro.net.datapath import FRAME_HDR
+
+        tcp = await TcpDatapath(
+            SupervisedRedisService(),
+            policy=AdmissionPolicy(per_conn_budget=4),
+        ).start()
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", tcp.port
+        )
+        sets = [RP.encode_set(k, k + 100) for k in range(1, 14)]
+        writer.write(b"".join(FRAME_HDR.pack(len(p)) + p for p in sets))
+        writer.write_eof()
+        blob = await asyncio.wait_for(reader.read(), 2.0)  # to the close
+        size = FRAME_HDR.size + len(sets[0])
+        assert [RP.decode_reply(blob[off + FRAME_HDR.size:off + size])
+                for off in range(0, len(blob), size)] \
+            == [(True, k + 100) for k in range(1, 14)]
+        assert max(tcp.stats.batch_hist) <= 4
+        writer.close()
+        await writer.wait_closed()
+        await asyncio.sleep(0.01)
+        assert tcp.admission.connections == 0
+        await tcp.stop()
+
+    asyncio.run(run())
+
+
 # -- userspace bridge (net) --------------------------------------------------
 
 

@@ -29,6 +29,7 @@ from repro.state.replication import (
     MSG_APPEND,
     MSG_HELLO,
     MSG_WATERMARK,
+    ST_BAD,
     ST_FENCED,
     ST_GAP,
     ST_OK,
@@ -41,7 +42,8 @@ from repro.state.replication import (
     pick_promotee,
     read_epoch,
 )
-from repro.state.wal import scan_wal
+from repro.errors import SimulatedCrash
+from repro.state.wal import OP_UPDATE, encode_record, scan_wal
 
 PIN = "repl/map"
 
@@ -52,7 +54,7 @@ def _kv(i):
     )
 
 
-def _cluster(n_followers=2, sync_replicas=1):
+def _cluster(n_followers=2, sync_replicas=1, channel=None, **store_kw):
     """Primary DurableStore + shipper over N in-process followers."""
     from repro.ebpf.maps import HashMap
     from repro.kernel.machine import Kernel
@@ -61,11 +63,13 @@ def _cluster(n_followers=2, sync_replicas=1):
         f"n{i}": ReplicaSession(MemStorage(), node_id=f"n{i}")
         for i in range(n_followers)
     }
-    channels = [LocalChannel(nid, s) for nid, s in sessions.items()]
+    channels = [(channel or LocalChannel)(nid, s)
+                for nid, s in sessions.items()]
     shipper = QuorumShipper(
         channels, sync_replicas=sync_replicas, epoch=1, maintenance_every=None
     )
-    store = DurableStore(storage=MemStorage(), sync_every=1, shipper=shipper)
+    store = DurableStore(storage=MemStorage(), sync_every=1, shipper=shipper,
+                         **store_kw)
     k = Kernel()
     m = HashMap(
         k.aspace, k.vmalloc, key_size=8, value_size=16, max_entries=64
@@ -247,6 +251,218 @@ def test_maintenance_snapshots_idle_laggard_after_compaction():
     shipper.maintenance()
     assert sessions["n1"].watermark(PIN) == 8
     assert shipper.stats.snapshots_shipped >= 1
+
+
+# -- commit groups: 1..n records per APPEND ----------------------------------
+
+
+def _group(store, m, shipper, lo, hi):
+    """Update keys [lo, hi) as one commit group (the drained-batch
+    shape): one WAL flush at the scope's exit, then one commit."""
+    with store.commit_group():
+        for i in range(lo, hi):
+            m.update(*_kv(i))
+    return shipper.commit()
+
+
+def _durable_wal(storage):
+    return storage.read(f"{PIN}/wal") or b""
+
+
+def _assert_follower_log(store, sess):
+    """The follower's *durable* log is the primary's, bit for bit, from
+    wherever the follower's snapshot base left off to the last seq."""
+    log = _durable_wal(sess.storage)
+    assert log and _durable_wal(store.storage).endswith(log)
+    assert sess.storage.pending_bytes(f"{PIN}/wal") == 0
+    assert ReplicaSession(sess.storage).watermark(PIN) == store.wal(PIN).seq
+
+
+class _CheckedChannel(LocalChannel):
+    """Refuses to carry a record the primary has not made durable:
+    anti-entropy reads durable bytes only, so a follower that gaps on
+    a group must find the group's records in the primary's WAL."""
+
+    store = None
+    appends = 0
+
+    def send(self, frame):
+        fr = decode_frame(frame)
+        if fr.kind == MSG_APPEND:
+            self.appends += 1
+            last = scan_wal(fr.body)[0][-1].seq
+            assert self.store.wal(PIN).durable_seq >= last, \
+                "shipped before the local flush"
+        super().send(frame)
+
+
+def _checked_cluster(**store_kw):
+    cluster = _cluster(sync_replicas=2, channel=_CheckedChannel, **store_kw)
+    for ch in cluster[-1]:
+        ch.store = cluster[0]
+    return cluster
+
+
+def test_group_is_one_flush_one_frame_and_durable_everywhere():
+    store, m, shipper, sessions, channels = _checked_cluster()
+    _group(store, m, shipper, 0, 1)      # re-bases the fresh followers
+    wal = store.wal(PIN)
+    flushes, frames = wal.flushes, channels[0].appends
+    acks = _group(store, m, shipper, 1, 6)
+    assert wal.flushes == flushes + 1 and wal.durable_seq == wal.seq == 6
+    assert [ch.appends for ch in channels] == [frames + 1] * 2
+    assert acks == shipper.last_acks == {
+        seq: ("n0", "n1") for seq in range(2, 7)
+    }
+    assert shipper.stats.records_shipped == 6
+    for sess in sessions.values():
+        _assert_follower_log(store, sess)
+
+
+def test_single_record_group_frame_is_the_per_record_frame():
+    store, m, shipper, sessions, channels = _checked_cluster()
+    sent = []
+    real_send = channels[0].send
+    channels[0].send = lambda frame: (sent.append(frame), real_send(frame))
+    _group(store, m, shipper, 0, 1)
+    _group(store, m, shipper, 1, 2)
+    blob = store.wal(PIN).last_blob
+    assert sent[-1] == encode_frame(MSG_APPEND, shipper.epoch, 2, PIN, blob)
+
+
+def test_multi_record_append_follower_cases():
+    store, m, shipper, sessions, _ = _cluster(n_followers=1)
+    _ship(m, shipper, 0, 4)
+    sess = sessions["n0"]
+    recs = {q: encode_record(q, OP_UPDATE, *_kv(q)) for q in range(1, 12)}
+
+    def append(seqs, body=None):
+        body = b"".join(recs[q] for q in seqs) if body is None else body
+        fr = encode_frame(MSG_APPEND, 1, seqs[0] if seqs else 0, PIN, body)
+        ack = decode_frame(sess.handle_frame(fr))
+        return ack.status, ack.seq
+
+    before = _durable_wal(sess.storage)
+    gaps, appends = sess.stats.gaps, sess.stats.appends
+    # Whole run at or below the watermark: duplicate, acked as-is.
+    assert append([2, 3, 4]) == (ST_OK, 4)
+    # First seq past watermark + 1: gap, nothing appended.
+    assert append([6, 7]) == (ST_GAP, 4)
+    # Seqs not consecutive inside the body, a torn body, an empty one.
+    assert append([5, 7]) == (ST_BAD, 4)
+    assert append([5, 6], recs[5] + recs[6][:-3]) == (ST_BAD, 4)
+    assert append([], b"") == (ST_BAD, 4)
+    assert _durable_wal(sess.storage) == before
+    assert (sess.stats.dup_appends, sess.stats.gaps) == (1, gaps + 1)
+    # A leading duplicate prefix is skipped: only the suffix lands.
+    assert append([3, 4, 5, 6]) == (ST_OK, 6)
+    assert _durable_wal(sess.storage) == before + recs[5] + recs[6]
+    assert sess.stats.appends == appends + 2
+    assert ReplicaSession(sess.storage).watermark(PIN) == 6
+
+
+def test_group_over_the_frame_cap_ships_as_several_frames():
+    store, m, shipper, sessions, channels = _checked_cluster()
+    _group(store, m, shipper, 0, 1)
+    frames = channels[0].appends
+    record = len(store.wal(PIN).last_blob)
+    n = 2 * (MAX_REPL_FRAME // record)          # > one frame, < three
+    with store.commit_group():
+        for i in range(n):
+            m.update(*_kv(i % 60))
+    acks = shipper.commit()
+    assert channels[0].appends - frames >= 2
+    assert sorted(acks) == list(range(2, n + 2)) == sorted(shipper.last_acks)
+    for sess in sessions.values():
+        _assert_follower_log(store, sess)
+
+
+def test_oversize_record_in_the_middle_of_a_group():
+    store, m, shipper, sessions, _ = _checked_cluster()
+    _group(store, m, shipper, 0, 3)
+    with store.commit_group():
+        m.update(*_kv(3))
+        shipper.stage(PIN, 99, bytes(MAX_REPL_FRAME))   # cannot be framed
+        m.update(*_kv(4))
+    with pytest.raises(QuorumLost) as lost:
+        shipper.commit()
+    # The run before it was shipped and acked, nothing at or past it.
+    assert lost.value.seq == 99 and shipper.stats.oversized_records == 1
+    assert {s.watermark(PIN) for s in sessions.values()} == {4}
+    assert not shipper.has_staged()
+    # The next group finds the gap and anti-entropy closes it.
+    _group(store, m, shipper, 5, 7)
+    assert shipper.watermarks(PIN) == {"n0": 7, "n1": 7}
+
+
+def test_snapshot_inside_a_group_keeps_followers_byte_identical():
+    """``snapshot_every=3`` fires on the third record of a group of
+    five: the compaction is shipped mid-group and re-bases the
+    followers past records the group's frame still carries."""
+    store, m, shipper, sessions, _ = _checked_cluster(snapshot_every=3)
+    acks = _group(store, m, shipper, 0, 5)
+    assert sorted(acks) == [1, 2, 3, 4, 5]
+    assert [r.seq for r in scan_wal(_durable_wal(store.storage))[0]] == [4, 5]
+    for sess in sessions.values():
+        # Re-based to seq 3 mid-group, so of the frame's five records
+        # only the last two were appended.
+        assert (sess.stats.snapshots_installed, sess.stats.gaps) == (1, 0)
+        assert sess.stats.appends == 2 and sess.watermark(PIN) == 5
+        for name in store.storage.list(PIN + "/"):
+            if not name.endswith("/repl"):
+                assert sess.storage.read(name) == store.storage.read(name)
+
+
+class _TornFlush:
+    """Crash hook: the ``nth`` ``replica.flush`` persists only ``keep``
+    of its pending bytes."""
+
+    def __init__(self, nth, keep):
+        self.nth, self.keep, self.calls = nth, keep, 0
+
+    def at(self, site):
+        pass
+
+    def torn(self, site, nbytes):
+        if site == "replica.flush":
+            self.calls += 1
+            if self.calls == self.nth:
+                return min(self.keep, nbytes)
+        return None
+
+
+def test_follower_torn_mid_group_truncates_to_a_record_and_resyncs():
+    store, m, shipper, sessions, channels = _cluster(n_followers=1)
+    _ship(m, shipper, 0, 2)
+    sess = sessions["n0"]
+    record = len(store.wal(PIN).last_blob)
+    # The follower dies flushing a group of four with two and a half
+    # records on disk: no ack, so the group is not acknowledged.
+    sess.crash = _TornFlush(1, 2 * record + record // 2)
+    with pytest.raises(QuorumLost):
+        _group(store, m, shipper, 2, 6)
+    assert sess.crashed and not channels[0].alive
+    fresh = ReplicaSession(sess.storage, node_id="n0")
+    assert fresh.watermark(PIN) == 4            # 2 + the two whole records
+    assert len(_durable_wal(fresh.storage)) % record == 0
+    channels[0].restart(fresh)
+    channels[0].reconnect()
+    _group(store, m, shipper, 6, 8)             # gaps, resyncs the tail
+    _assert_follower_log(store, fresh)
+
+
+def test_group_crash_before_the_flush_leaves_nothing_pending_acked():
+    """An exception inside the scope (the process dying mid-group)
+    must not flush: the group was never acknowledged."""
+    store, m, shipper, sessions, _ = _checked_cluster()
+    _group(store, m, shipper, 0, 2)
+    wal = store.wal(PIN)
+    with pytest.raises(SimulatedCrash):
+        with store.commit_group():
+            m.update(*_kv(2))
+            raise SimulatedCrash("wal.append")
+    assert wal.durable_seq == 2 and not wal.grouped
+    assert len(scan_wal(_durable_wal(store.storage))[0]) == 2
 
 
 # -- epoch fencing ------------------------------------------------------------
